@@ -47,6 +47,6 @@ from .divider import (
     verify_exhaustive,
 )
 from .qasm import QasmExportError, QasmParseError, export_text, import_text
-from .sim import SimulationError, apply, apply_packed, decode_register, encode_register
+from .sim import SimulationError, apply, decode_register, encode_register
 
 __version__ = "0.1.0"

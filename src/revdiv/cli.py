@@ -6,6 +6,7 @@ import json
 import sys
 
 from . import costs, divider, qasm
+from .adders import ADDERS
 from .circuit import measure
 from .sim import SimulationError
 
@@ -99,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--n", type=int, required=True, help="operand width in bits")
 
     def add_adder(sp):
-        sp.add_argument("--adder", choices=["cuccaro", "vbe"], required=True)
+        sp.add_argument("--adder", choices=sorted(ADDERS), required=True)
 
     def add_kind(sp):
         sp.add_argument(

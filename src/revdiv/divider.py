@@ -23,13 +23,13 @@ from dataclasses import dataclass, field
 
 from .adders import AdderBuilder, build_cond_add, get_adder, wrap_add_sub, wrap_subtractor
 from .circuit import Circuit, ResourceReport, ccx, cx, measure, x
-from .sim import apply, decode_register, encode_register
+from .sim import apply, apply_planes, decode_register, encode_register
 
 NON_RESTORING = "non_restoring"
 RESTORING = "restoring"
 KINDS = (NON_RESTORING, RESTORING)
 
-EXHAUSTIVE_LIMIT = 6
+EXHAUSTIVE_LIMIT = 10
 
 
 @dataclass(frozen=True)
@@ -63,43 +63,6 @@ class DividerLayout:
     restore_control: int | None  # conditional-adder control (non-restoring)
     ancilla_qubits: list[int]
     structure: list[str] = field(default_factory=list)
-
-
-def _nonrestoring_trace(n: int, dividend: int, divisor: int):
-    """Classical replay of the circuit: per-iteration quotient bits, signs,
-    and the final (n+1)-bit window value."""
-    top = 1 << (n + 1)
-    w = 0
-    ctrl = 1  # first iteration always subtracts
-    qbits, signs = [], []
-    for i in range(1, n + 1):
-        w = ((w % (1 << n)) << 1) | ((dividend >> (n - i)) & 1)
-        if ctrl:
-            cout = 1 if w >= divisor else 0
-            w = (w - divisor) % top
-        else:
-            cout = 1 if w + divisor >= top else 0
-            w = (w + divisor) % top
-        qbits.append(cout)
-        signs.append((w >> n) & 1)
-        ctrl = cout
-    if signs[-1]:
-        w = (w + divisor) % top
-    return qbits, signs, w
-
-
-def _restoring_trace(n: int, dividend: int, divisor: int):
-    top = 1 << (n + 1)
-    w = 0
-    qbits = []
-    for i in range(1, n + 1):
-        w = ((w % (1 << n)) << 1) | ((dividend >> (n - i)) & 1)
-        cout = 1 if w >= divisor else 0
-        w = (w - divisor) % top
-        if not cout:
-            w = (w + divisor) % top
-        qbits.append(cout)
-    return qbits, w
 
 
 def build_divider(params: DividerParams) -> tuple[Circuit, DividerLayout]:
@@ -290,29 +253,76 @@ def _build_restoring_width1(params: DividerParams) -> tuple[Circuit, DividerLayo
     return c, layout
 
 
+def _ripple_add(x: list[int], y: list[int], carry: int) -> tuple[list[int], int]:
+    """Plane-wise ``x + y + carry`` over ``len(x)`` bits, LSB first.
+
+    Returns the sum planes and the carry-out plane.
+    """
+    out = []
+    for xj, yj in zip(x, y):
+        t = xj ^ yj
+        out.append(t ^ carry)
+        carry = (xj & yj) | (carry & t)
+    return out, carry
+
+
+def _trace_planes(kind: str, n: int, a: list[int], b: list[int], ones: int):
+    """Classical replay of the divider on planes, one division per lane.
+
+    ``a`` and ``b`` are the dividend and divisor planes, ``ones`` has a bit
+    set for every lane.  Returns the per-iteration quotient bits and window
+    signs, and the final (n+1)-bit window.
+    """
+    b = b + [0]  # the divisor, zero-extended to the window width
+    w = [0] * (n + 1)
+    sub = ones  # the first iteration always subtracts
+    qbits, signs = [], []
+    for i in range(1, n + 1):
+        w = [a[n - i]] + w[:n]
+        # w - b = w + ~b + 1 where sub is set, w + b elsewhere; a
+        # subtraction's carry-out is set exactly where w >= b
+        w, cout = _ripple_add(w, [bj ^ sub for bj in b], sub)
+        if kind == RESTORING:
+            # add b back where the subtraction went negative
+            w, _ = _ripple_add(w, [bj & ~cout for bj in b], 0)
+        else:
+            sub = cout
+        qbits.append(cout)
+        signs.append(w[n])
+    if kind == NON_RESTORING:
+        w, _ = _ripple_add(w, [bj & signs[-1] for bj in b], 0)
+    return qbits, signs, w
+
+
+def _expected_planes(
+    qubit_count: int, layout: DividerLayout, a: list[int], b: list[int], ones: int
+) -> list[int]:
+    """Predicted terminal planes of every wire for the given input planes."""
+    n = layout.n
+    qbits, signs, w = _trace_planes(layout.kind, n, a, b, ones)
+    state = [0] * qubit_count
+    for p, v in zip(layout.divisor_qubits, b):
+        state[p] = v
+    for p, v in zip(layout.remainder_positions, w[:n]):
+        state[p] = v
+    for p, v in zip(reversed(layout.quotient_positions), qbits):
+        state[p] = v
+    if layout.kind == NON_RESTORING:
+        # window tops above later windows keep the iteration's sign
+        tops = [win[-1] for win in layout.iteration_windows[:-1]]
+        for p, v in zip(tops + [layout.restore_control], signs):
+            state[p] = v
+    return state
+
+
 def expected_final_state(
     circuit: Circuit, layout: DividerLayout, dividend: int, divisor: int
 ) -> list[int]:
     """Predicted terminal basis state for a valid division input."""
     n = layout.n
-    state = [0] * circuit.qubit_count
-    encode_register(layout.divisor_qubits, divisor, state)
-
-    if layout.kind == NON_RESTORING:
-        qbits, signs, w = _nonrestoring_trace(n, dividend, divisor)
-        encode_register(layout.remainder_positions, w % (1 << n), state)
-        # window tops above later windows keep the iteration's sign
-        for i in range(1, n):
-            state[layout.iteration_windows[i - 1][-1]] = signs[i - 1]
-        state[layout.restore_control] = signs[-1]
-        for i, qb in enumerate(qbits):
-            state[layout.quotient_positions[n - 1 - i]] = qb
-    else:
-        qbits, w = _restoring_trace(n, dividend, divisor)
-        encode_register(layout.remainder_positions, w % (1 << n), state)
-        for i, qb in enumerate(qbits):
-            state[layout.quotient_positions[n - 1 - i]] = qb
-    return state
+    a = encode_register(range(n), dividend, [0] * n)
+    b = encode_register(range(n), divisor, [0] * n)
+    return _expected_planes(circuit.qubit_count, layout, a, b, 1)
 
 
 def run_division(
@@ -323,7 +333,7 @@ def run_division(
         raise ZeroDivisionError("divisor must be non-zero")
     if not 0 <= dividend < (1 << n):
         raise ValueError(f"dividend {dividend} out of range for n={n}")
-    if not 1 <= divisor < (1 << n) or n == 0:
+    if not 1 <= divisor < (1 << n):
         raise ValueError(f"divisor {divisor} out of range for n={n}")
     state = [0] * circuit.qubit_count
     encode_register(layout.dividend_qubits, dividend, state)
@@ -346,42 +356,72 @@ class VerificationReport:
         return self.total > 0 and self.passed == self.total
 
 
+def _index_plane(j: int, bits: int) -> int:
+    """Bit j of the lane index, over all 2**bits lanes."""
+    plane = ((1 << (1 << j)) - 1) << (1 << j)
+    for s in range(j + 1, bits):
+        plane |= plane << (1 << s)
+    return plane
+
+
 def verify_exhaustive(
     params: DividerParams, limit: int = EXHAUSTIVE_LIMIT
 ) -> VerificationReport:
     """Simulate every (dividend, divisor>=1) pair and check quotient,
-    remainder, divisor restoration and all ancilla terminal values."""
+    remainder, divisor restoration and all ancilla terminal values.
+
+    All divisions run at once, one per lane: lane k = (b-1)*2^n + a.
+    """
     n = params.n
     if n > limit:
         raise ValueError(f"n={n} exceeds exhaustive limit {limit}")
     circuit, layout = build_divider(params)
+    # lane index b*2^n + a over every b, then the b=0 lanes are shifted out
+    per_divisor = 1 << n
+    index = [_index_plane(j, 2 * n) >> per_divisor for j in range(2 * n)]
+    a, b = index[:n], index[n:]
+    lanes = ((1 << n) - 1) << n
+    ones = (1 << lanes) - 1
+
+    state = [0] * circuit.qubit_count
+    for p, v in zip(layout.dividend_qubits + layout.divisor_qubits, index):
+        state[p] = v
+    out = apply_planes(circuit, state, ones)
+
+    # q*b + r = a with r < b pins (q, r) to divmod(a, b), independently of
+    # the circuit's algorithm; q*b + r < 2^(2n), so 2n planes hold it
+    q = [out[p] for p in layout.quotient_positions]
+    r = [out[p] for p in layout.remainder_positions]
+    acc = r + [0] * n
+    for j, qj in enumerate(q):
+        acc[j:], _ = _ripple_add(acc[j:], [bi & qj for bi in b] + [0] * (n - j), 0)
+    _, qr_bad = _ripple_add(r, [bi ^ ones for bi in b], ones)  # r >= b
+    for got, want in zip(acc, a + [0] * n):
+        qr_bad |= got ^ want
+
+    bad = qr_bad
+    for got, want in zip(out, _expected_planes(circuit.qubit_count, layout, a, b, ones)):
+        bad |= got ^ want
+
     report = VerificationReport(
-        params_desc=f"n={n} adder={params.adder.name} kind={params.kind}"
+        params_desc=f"n={n} adder={params.adder.name} kind={params.kind}",
+        total=lanes,
+        passed=lanes - bad.bit_count(),
     )
-    for divisor in range(1, 1 << n):
-        for dividend in range(1 << n):
-            report.total += 1
-            state = [0] * circuit.qubit_count
-            encode_register(layout.dividend_qubits, dividend, state)
-            encode_register(layout.divisor_qubits, divisor, state)
-            out = apply(circuit, state)
-            quotient = decode_register(out, layout.quotient_positions)
-            remainder = decode_register(out, layout.remainder_positions)
+    if bad:
+        k = (bad & -bad).bit_length() - 1
+        dividend, divisor = k % per_divisor, (k >> n) + 1
+        if (qr_bad >> k) & 1:
+            lane = [(p >> k) & 1 for p in out]
+            quotient = decode_register(lane, layout.quotient_positions)
+            remainder = decode_register(lane, layout.remainder_positions)
             expect_q, expect_r = divmod(dividend, divisor)
-            if (quotient, remainder) != (expect_q, expect_r):
-                if report.first_failure is None:
-                    report.first_failure = (
-                        f"a={dividend} b={divisor}: got q={quotient} r={remainder}, "
-                        f"want q={expect_q} r={expect_r}"
-                    )
-                continue
-            if out != expected_final_state(circuit, layout, dividend, divisor):
-                if report.first_failure is None:
-                    report.first_failure = (
-                        f"a={dividend} b={divisor}: terminal state mismatch"
-                    )
-                continue
-            report.passed += 1
+            report.first_failure = (
+                f"a={dividend} b={divisor}: got q={quotient} r={remainder}, "
+                f"want q={expect_q} r={expect_r}"
+            )
+        else:
+            report.first_failure = f"a={dividend} b={divisor}: terminal state mismatch"
     return report
 
 

@@ -1,9 +1,10 @@
 """Exact classical simulation of {NOT, CNOT, TOFFOLI} circuits on basis states.
 
 Every gate in scope is classically reversible, so a basis state maps to a
-basis state and the simulation is exact.  States are bit sequences
-(LSB-first within registers); internally a single Python integer carries all
-bits for speed.
+basis state and the simulation is exact.  The kernel is bit-sliced and
+wire-major: each wire is one Python integer (a *plane*) whose bit k is the
+wire's value in lane k, so one pass over the gates runs every lane at once.
+A single basis state is the one-lane case.
 """
 from __future__ import annotations
 
@@ -14,34 +15,35 @@ class SimulationError(ValueError):
     pass
 
 
-def apply(circuit: Circuit, state: list[int] | tuple[int, ...]) -> list[int]:
-    """Run the circuit on a computational-basis state, one bit per qubit."""
-    if len(state) != circuit.qubit_count:
+def apply_planes(circuit: Circuit, planes: list[int], ones: int) -> list[int]:
+    """Run the circuit on every lane of ``planes`` at once.
+
+    ``planes[i]`` holds wire i: bit k is its value in lane k.  ``ones`` has
+    a bit set for every lane, so NOT flips exactly those.  The planes are
+    updated in place and returned.
+    """
+    if len(planes) != circuit.qubit_count:
         raise SimulationError(
-            f"state length {len(state)} != qubit count {circuit.qubit_count}"
+            f"state length {len(planes)} != qubit count {circuit.qubit_count}"
         )
-    if any(b not in (0, 1) for b in state):
-        raise SimulationError("state bits must be 0 or 1")
-    v = 0
-    for i, b in enumerate(state):
-        v |= b << i
-    v = apply_packed(circuit, v)
-    return [(v >> i) & 1 for i in range(circuit.qubit_count)]
-
-
-def apply_packed(circuit: Circuit, state: int) -> int:
-    """Same as :func:`apply` on a bit-packed integer state (bit i = qubit i)."""
+    w = planes
     for g in circuit.gates:
         q = g.qubits
-        if g.name == "ccx":
-            if (state >> q[0]) & 1 and (state >> q[1]) & 1:
-                state ^= 1 << q[2]
-        elif g.name == "cx":
-            if (state >> q[0]) & 1:
-                state ^= 1 << q[1]
+        name = g.name
+        if name == "ccx":
+            w[q[2]] ^= w[q[0]] & w[q[1]]
+        elif name == "cx":
+            w[q[1]] ^= w[q[0]]
         else:
-            state ^= 1 << q[0]
-    return state
+            w[q[0]] ^= ones
+    return w
+
+
+def apply(circuit: Circuit, state: list[int] | tuple[int, ...]) -> list[int]:
+    """Run the circuit on a computational-basis state, one bit per qubit."""
+    if any(b not in (0, 1) for b in state):
+        raise SimulationError("state bits must be 0 or 1")
+    return apply_planes(circuit, list(state), 1)
 
 
 def encode_register(positions, value: int, state: list[int]) -> list[int]:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from revdiv.cli import main
+from revdiv.divider import EXHAUSTIVE_LIMIT
 
 
 def test_build_writes_qasm_and_reports(tmp_path, capsys):
@@ -71,8 +72,15 @@ def test_verify_pass(capsys):
     assert "240/240 pass" in capsys.readouterr().out
 
 
+def test_verify_default_limit_reaches_n8(capsys):
+    rc = main(["verify", "--n", "8", "--adder", "vbe", "--kind", "restoring"])
+    assert rc == 0
+    assert capsys.readouterr().out == "65280/65280 pass\n"
+
+
 def test_verify_limit(capsys):
-    rc = main(["verify", "--n", "7", "--adder", "cuccaro", "--kind", "nonrestoring"])
+    n = EXHAUSTIVE_LIMIT + 1
+    rc = main(["verify", "--n", str(n), "--adder", "cuccaro", "--kind", "nonrestoring"])
     assert rc == 1
     assert "exceeds exhaustive limit" in capsys.readouterr().err
 

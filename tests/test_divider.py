@@ -1,5 +1,6 @@
 import pytest
 
+from revdiv import divider
 from revdiv.circuit import measure
 from revdiv.divider import (
     KINDS,
@@ -14,7 +15,7 @@ from revdiv.divider import (
     verify_exhaustive,
 )
 from revdiv.qasm import export_text, import_text
-from revdiv.sim import apply, encode_register
+from revdiv.sim import apply, decode_register, encode_register
 
 ADDER_NAMES = ("cuccaro", "vbe")
 
@@ -30,7 +31,7 @@ def test_params_validation():
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("adder", ADDER_NAMES)
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_division_exhaustive(kind, adder, n):
     report = verify_exhaustive(make_params(n, adder, kind))
     assert report.ok, report.first_failure
@@ -164,3 +165,51 @@ def test_corrupted_circuit_is_caught(kind):
             if out != expected_final_state(c, layout, a, b):
                 bad += 1
     assert bad > 0
+
+
+def _drop_first_toffoli(gates):
+    del gates[next(i for i, g in enumerate(gates) if g.name == "ccx")]
+
+
+def _drop_middle_gate(gates):
+    del gates[len(gates) // 2]
+
+
+def _verify_lane_by_lane(c, layout):
+    """Reference sweep: one simulation per division, in lane order."""
+    n = layout.n
+    passed, first = 0, None
+    for b in range(1, 1 << n):
+        for a in range(1 << n):
+            state = [0] * c.qubit_count
+            encode_register(layout.dividend_qubits, a, state)
+            encode_register(layout.divisor_qubits, b, state)
+            out = apply(c, state)
+            q = decode_register(out, layout.quotient_positions)
+            r = decode_register(out, layout.remainder_positions)
+            if (q, r) != divmod(a, b):
+                msg = f"a={a} b={b}: got q={q} r={r}, want q={a // b} r={a % b}"
+            elif out != expected_final_state(c, layout, a, b):
+                msg = f"a={a} b={b}: terminal state mismatch"
+            else:
+                passed += 1
+                continue
+            first = first or msg
+    return passed, first
+
+
+@pytest.mark.parametrize("fault", [_drop_first_toffoli, _drop_middle_gate])
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("adder", ADDER_NAMES)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sliced_verification_matches_lane_by_lane(monkeypatch, fault, kind, adder, n):
+    def faulty_build(params):
+        c, layout = build_divider(params)
+        fault(c.gates)
+        return c, layout
+
+    monkeypatch.setattr(divider, "build_divider", faulty_build)
+    report = verify_exhaustive(make_params(n, adder, kind))
+    passed, first = _verify_lane_by_lane(*faulty_build(make_params(n, adder, kind)))
+    assert passed < report.total
+    assert (report.passed, report.first_failure) == (passed, first)

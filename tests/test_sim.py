@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revdiv.circuit import Circuit, ccx, cx, x
 from revdiv.sim import (
     SimulationError,
     apply,
-    apply_packed,
+    apply_planes,
     decode_register,
     encode_register,
 )
@@ -48,17 +50,59 @@ def test_state_validation():
         apply(c, [2])
 
 
+def _lanes_to_planes(states, width):
+    """Wire-major planes of the given states, one lane each."""
+    return [sum(s[i] << k for k, s in enumerate(states)) for i in range(width)]
+
+
+def _lane(planes, k):
+    return [(p >> k) & 1 for p in planes]
+
+
+def _reference(c, bits):
+    """Gate-by-gate evaluation of one basis state, independent of the kernel."""
+    s = list(bits)
+    for g in c.gates:
+        if all(s[q] for q in g.controls):
+            s[g.target] ^= 1
+    return s
+
+
 def test_packed_agrees_with_list():
+    # all 16 basis states of 4 wires in one bit-sliced pass
     c = Circuit()
     c.new_register("w", 4)
     c.append(x(0))
     c.append(cx(0, 2))
     c.append(ccx(0, 2, 3))
-    for v in range(16):
-        bits = [(v >> i) & 1 for i in range(4)]
-        out = apply(c, bits)
-        packed = apply_packed(c, v)
-        assert out == [(packed >> i) & 1 for i in range(4)]
+    states = [[(v >> i) & 1 for i in range(4)] for v in range(16)]
+    planes = apply_planes(c, _lanes_to_planes(states, 4), (1 << 16) - 1)
+    for k, bits in enumerate(states):
+        assert apply(c, bits) == _lane(planes, k)
+
+
+@st.composite
+def _circuits_and_states(draw):
+    width = draw(st.integers(min_value=3, max_value=8))
+    c = Circuit()
+    c.new_register("w", width)
+    for _ in range(draw(st.integers(min_value=0, max_value=40))):
+        arity = draw(st.sampled_from([1, 2, 3]))
+        wires = draw(st.permutations(range(width)))[:arity]
+        c.append({1: x, 2: cx, 3: ccx}[arity](*wires))
+    bits = st.lists(st.integers(0, 1), min_size=width, max_size=width)
+    states = draw(st.lists(bits, min_size=1, max_size=70))
+    return c, states
+
+
+@settings(max_examples=150, deadline=None)
+@given(_circuits_and_states())
+def test_many_lanes_equal_apply_lane_by_lane(case):
+    c, states = case
+    width = c.qubit_count
+    planes = apply_planes(c, _lanes_to_planes(states, width), (1 << len(states)) - 1)
+    for k, bits in enumerate(states):
+        assert _lane(planes, k) == apply(c, bits) == _reference(c, bits)
 
 
 def test_register_encode_decode_lsb_first():
