@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .circuit import Circuit, Register, ccx, cx, x
+from .circuit import Circuit, ccx, cx, x
 
 
 @dataclass(frozen=True)
@@ -24,10 +24,6 @@ class AdderFragment:
     carry_in: int
     carry_out: int
     ancillas: tuple[int, ...]
-
-    @property
-    def width(self) -> int:
-        return len(self.a)
 
 
 @dataclass(frozen=True)
@@ -46,10 +42,6 @@ class ControlledFragment:
     carry_out: int | None
     ancillas: tuple[int, ...]
 
-    @property
-    def width(self) -> int:
-        return len(self.a)
-
 
 @dataclass(frozen=True)
 class AdderBuilder:
@@ -58,7 +50,6 @@ class AdderBuilder:
     name: str
     build: Callable[[int], AdderFragment]
     ancilla_count: Callable[[int], int]
-    cost_model_id: str | None = None
 
 
 def _adder_shell(m: int, n_anc: int) -> tuple[Circuit, AdderFragment]:
@@ -140,8 +131,8 @@ def build_vbe(m: int) -> AdderFragment:
     return frag
 
 
-CUCCARO = AdderBuilder("cuccaro", build_cuccaro, lambda m: 0, "cuccaro")
-VBE = AdderBuilder("vbe", build_vbe, lambda m: m - 1, "vbe")
+CUCCARO = AdderBuilder("cuccaro", build_cuccaro, lambda m: 0)
+VBE = AdderBuilder("vbe", build_vbe, lambda m: m - 1)
 
 ADDERS = {b.name: b for b in (CUCCARO, VBE)}
 

@@ -133,15 +133,6 @@ class Circuit:
         rev = Circuit(self.qubit_count, list(self.registers), list(reversed(self.gates)))
         return rev
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Circuit):
-            return NotImplemented
-        return (
-            self.qubit_count == other.qubit_count
-            and self.registers == other.registers
-            and self.gates == other.gates
-        )
-
 
 @dataclass(frozen=True)
 class ResourceReport:
@@ -159,14 +150,6 @@ class ResourceReport:
             "qubit_count": self.qubit_count,
             "gate_total": self.gate_total,
         }
-
-
-def append_gate(circuit: Circuit, gate: Gate) -> Circuit:
-    return circuit.append(gate)
-
-
-def append_circuit(host: Circuit, fragment: Circuit, mapping: list[int]) -> Circuit:
-    return host.extend(fragment, mapping)
 
 
 def measure(circuit: Circuit) -> ResourceReport:

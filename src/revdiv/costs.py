@@ -14,8 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from fractions import Fraction
 
-from .divider import NON_RESTORING, RESTORING, KINDS
+from .divider import KINDS, NON_RESTORING, RESTORING, overhead
+from .divider import compose  # noqa: F401  (public here as costs.compose)
 
 CEIL_REAL_LOG = "ceil-real-log"
 STRICT_FLOOR = "strict-floor"
@@ -42,34 +44,21 @@ def omega(n: int) -> int:
     return total
 
 
-def compose(adder_costs: tuple[int, int, int], n: int, kind: str = NON_RESTORING):
-    """Divider cost triple from an adder's (TD, TC, ancillas) at width n+1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}")
-    td_add, tc_add, anc = adder_costs
-    if kind == NON_RESTORING:
-        return (n * td_add + 3 * n + 1, n * tc_add + 3 * n + 1, 4 * n + 2 + anc)
-    return (
-        n * td_add + 3 * n * n + n,
-        n * tc_add + 3 * n * n + n,
-        4 * n + 1 + anc,
-    )
-
-
-@dataclass(frozen=True)
-class CostModel:
-    id: str
-    needs_radix: bool = False
+def floor_log2(v: int | Fraction) -> int:
+    """The largest k with 2**k <= v, exactly, for a positive rational v."""
+    v = Fraction(v)
+    p, q = v.numerator, v.denominator
+    k = p.bit_length() - q.bit_length()
+    if p << max(-k, 0) < q << max(k, 0):
+        k -= 1
+    return k
 
 
 def _row_values(row_id: str, n: int, r: int | None, strict: bool):
     """Real-valued (TD, TC, QC) for the non-restoring divider of one row."""
 
     def L(v):
-        lg = math.log2(v)
-        return math.floor(lg) if strict else lg
+        return floor_log2(v) if strict else math.log2(v)
 
     def W(v):
         return omega(math.ceil(v))
@@ -93,8 +82,8 @@ def _row_values(row_id: str, n: int, r: int | None, strict: bool):
             11 * n
             + n * L(n)
             + n * L(n + 1)
-            + n * L(n / 3)
-            + n * L((n + 1) / 3)
+            + n * L(Fraction(n, 3))
+            + n * L(Fraction(n + 1, 3))
             + 1
         )
         tc = (
@@ -134,24 +123,24 @@ def _row_values(row_id: str, n: int, r: int | None, strict: bool):
             8 * n * n
             - n * (n + 1) / r
             - (n * n) % r
-            - 3 * n * W((n + 1) / r)
+            - 3 * n * W(Fraction(n + 1, r))
             - 3 * n * L(n + 1)
             + 3 * n * L(r)
             + 8 * n
             + 1
         )
-        qc = 6 * n - L(n + 1) + (n + 1) / r - W((n + 1) / r) + L(r) + 5
+        qc = 6 * n - L(n + 1) + (n + 1) / r - W(Fraction(n + 1, r)) + L(r) + 5
         return (td, tc, qc)
     if row_id == "ling":
-        td = 12 * n + 2 * n * L((n + 1) / 2) + 2 * n * L((n + 1) / 6) + 1
+        td = 12 * n + 2 * n * L(Fraction(n + 1, 2)) + 2 * n * L(Fraction(n + 1, 6)) + 1
         tc = (
             13 * n * n
-            - 6 * n * W((n + 1) / 2)
-            - 6 * n * L((n + 1) / 2)
+            - 6 * n * W(Fraction(n + 1, 2))
+            - 6 * n * L(Fraction(n + 1, 2))
             + 2 * n
             + 1
         )
-        qc = 14 * n - 6 * W((n + 1) / 2) - 6 * L((n + 1) / 2) + 4
+        qc = 14 * n - 6 * W(Fraction(n + 1, 2)) - 6 * L(Fraction(n + 1, 2)) + 4
         return (td, tc, qc)
     raise ValueError(f"unknown row id {row_id!r}")
 
@@ -169,8 +158,6 @@ ROW_IDS = (
     "higher_radix",
     "ling",
 )
-
-COST_MODELS = {rid: CostModel(rid, needs_radix=(rid == "higher_radix")) for rid in ROW_IDS}
 
 
 def _ceil(v) -> int:
@@ -194,10 +181,12 @@ def evaluate_row(
         raise ValueError(f"rounding must be one of {ROUNDINGS}")
     td, tc, qc = _row_values(row_id, n, radix, strict=(rounding == STRICT_FLOOR))
     if kind == RESTORING:
-        delta = 3 * n * n - 2 * n - 1
-        td += delta
-        tc += delta
-        qc -= 1
+        # each row is a non-restoring divider; swap its overhead for the
+        # restoring one
+        restoring, non_restoring = overhead(n, RESTORING), overhead(n, NON_RESTORING)
+        td, tc, qc = (
+            v + r - s for v, r, s in zip((td, tc, qc), restoring, non_restoring)
+        )
     return (_ceil(td), _ceil(tc), _ceil(qc))
 
 

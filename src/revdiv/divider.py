@@ -19,7 +19,7 @@ carry-out.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .adders import AdderBuilder, build_cond_add, get_adder, wrap_add_sub, wrap_subtractor
 from .circuit import Circuit, ResourceReport, ccx, cx, measure, x
@@ -47,30 +47,28 @@ class DividerParams:
 
 @dataclass
 class DividerLayout:
-    """Wire roles of a built divider circuit."""
+    """Wire roles of a built divider circuit, derived from its registers."""
 
     n: int
     kind: str
-    adder_name: str
     dividend_qubits: list[int]
     divisor_qubits: list[int]
-    divisor_pad: int
     iteration_windows: list[list[int]]  # window of iteration i at index i-1
-    sign_qubits: list[int]  # persistent home of each iteration's sign bit
     quotient_positions: list[int]  # LSB first
     remainder_positions: list[int]  # LSB first
-    carry_wires: list[int]  # carry-out wire of each iteration, in order
     restore_control: int | None  # conditional-adder control (non-restoring)
     ancilla_qubits: list[int]
-    structure: list[str] = field(default_factory=list)
+    structure: list[str]  # sub-circuits in gate order
 
 
 def build_divider(params: DividerParams) -> tuple[Circuit, DividerLayout]:
     if params.kind == NON_RESTORING:
-        return _build_nonrestoring(params)
-    if params.n == 1:
-        return _build_restoring_width1(params)
-    return _build_restoring(params)
+        c = _build_nonrestoring(params)
+    elif params.n == 1:
+        c = _build_restoring_width1(params)
+    else:
+        c = _build_restoring(params)
+    return c, layout_from_circuit(c)
 
 
 def _window(rq, n: int, i: int) -> list[int]:
@@ -84,7 +82,7 @@ def _inline_adder_shaped(c, frag, a, b, cin, cout, anc):
     c.extend(frag.circuit, mapping)
 
 
-def _build_nonrestoring(params: DividerParams) -> tuple[Circuit, DividerLayout]:
+def _build_nonrestoring(params: DividerParams) -> Circuit:
     n, adder = params.n, params.adder
     m = n + 1
     n_anc = adder.ancilla_count(m)
@@ -96,17 +94,12 @@ def _build_nonrestoring(params: DividerParams) -> tuple[Circuit, DividerLayout]:
     s = c.new_register("s", 1)[0]
     anc = c.new_register("anc", n_anc).qubits if n_anc else ()
 
-    structure = []
-    carry_wires = []
-
     # Step 1: plain subtractor.  Its carry-in wire comes back to 0 and is
     # recycled: for n >= 2 it is iteration 2's carry-out slot, for n = 1 the
     # conditional-adder control.
     cin1 = q[n - 2] if n >= 2 else s
     sub = wrap_subtractor(adder, m)
     _inline_adder_shaped(c, sub, d, _window(rq, n, 1), cin1, q[n - 1], anc)
-    structure.append("sub")
-    carry_wires.append(q[n - 1])
 
     # Step 2: controlled adder-subtractors; previous quotient bit is both
     # control and carry-in.
@@ -115,8 +108,6 @@ def _build_nonrestoring(params: DividerParams) -> tuple[Circuit, DividerLayout]:
         _inline_adder_shaped(
             c, addsub, d, _window(rq, n, i), q[n - i + 1], q[n - i], anc
         )
-        structure.append("add_sub")
-        carry_wires.append(q[n - i])
 
     # Step 3: copy the final sign onto the control wire and conditionally
     # add the divisor back.
@@ -124,25 +115,7 @@ def _build_nonrestoring(params: DividerParams) -> tuple[Circuit, DividerLayout]:
     c.append(x(s))
     cond = build_cond_add(m)
     c.extend(cond.circuit, list(d) + _window(rq, n, n) + [s])
-    structure.append("cond_add")
-
-    layout = DividerLayout(
-        n=n,
-        kind=NON_RESTORING,
-        adder_name=adder.name,
-        dividend_qubits=[rq[k] for k in range(n)],
-        divisor_qubits=[d[k] for k in range(n)],
-        divisor_pad=d[n],
-        iteration_windows=[_window(rq, n, i) for i in range(1, n + 1)],
-        sign_qubits=[rq[2 * n - i] for i in range(1, n)] + [s],
-        quotient_positions=list(q),
-        remainder_positions=[rq[k] for k in range(n)],
-        carry_wires=carry_wires,
-        restore_control=s,
-        ancilla_qubits=list(anc),
-        structure=structure,
-    )
-    return c, layout
+    return c
 
 
 def _restoring_cout_slots(rq, q, n: int) -> list[int]:
@@ -159,7 +132,7 @@ def _restoring_cout_slots(rq, q, n: int) -> list[int]:
     return slots
 
 
-def _build_restoring(params: DividerParams) -> tuple[Circuit, DividerLayout]:
+def _build_restoring(params: DividerParams) -> Circuit:
     n, adder = params.n, params.adder
     m = n + 1
     n_anc = adder.ancilla_count(m)
@@ -174,38 +147,17 @@ def _build_restoring(params: DividerParams) -> tuple[Circuit, DividerLayout]:
     couts = _restoring_cout_slots(rq, q, n)
     sub = wrap_subtractor(adder, m)
     cond = build_cond_add(m)
-    structure = []
     for i in range(1, n + 1):
         w = _window(rq, n, i)
         cw = couts[i - 1]
         _inline_adder_shaped(c, sub, d, w, z, cw, anc)
-        structure.append("sub")
         c.append(x(cw))  # carry-out -> sign
         c.extend(cond.circuit, list(d) + w + [cw])
-        structure.append("cond_add")
         c.append(x(cw))  # sign -> quotient bit
-
-    quotient_positions = list(reversed(couts))
-    layout = DividerLayout(
-        n=n,
-        kind=RESTORING,
-        adder_name=adder.name,
-        dividend_qubits=[rq[k] for k in range(n)],
-        divisor_qubits=[d[k] for k in range(n)],
-        divisor_pad=d[n],
-        iteration_windows=[_window(rq, n, i) for i in range(1, n + 1)],
-        sign_qubits=list(couts),  # sign lived here mid-iteration; ends as q-bit
-        quotient_positions=quotient_positions,
-        remainder_positions=[rq[k] for k in range(n)],
-        carry_wires=list(couts),
-        restore_control=None,
-        ancilla_qubits=list(anc),
-        structure=structure,
-    )
-    return c, layout
+    return c
 
 
-def _build_restoring_width1(params: DividerParams) -> tuple[Circuit, DividerLayout]:
+def _build_restoring_width1(params: DividerParams) -> Circuit:
     """Restoring divider at n=1 inside the 4n+1 wire budget.
 
     The only subtraction starts from a window whose top wire is a known 0,
@@ -214,14 +166,14 @@ def _build_restoring_width1(params: DividerParams) -> tuple[Circuit, DividerLayo
     control and ends up holding the quotient bit.  The adder's declared
     workspace is still reserved so the qubit budget matches the closed form.
     """
-    adder = params.adder
-    n_anc = adder.ancilla_count(2)
+    n_anc = params.adder.ancilla_count(2)
 
     c = Circuit()
     rq = c.new_register("rq", 2).qubits
     d = c.new_register("d", 2).qubits
     z = c.new_register("z", 1)[0]
-    anc = c.new_register("anc", n_anc).qubits if n_anc else ()
+    if n_anc:
+        c.new_register("anc", n_anc)
 
     c.append(x(rq[0]))
     c.append(x(rq[1]))
@@ -233,24 +185,7 @@ def _build_restoring_width1(params: DividerParams) -> tuple[Circuit, DividerLayo
     cond = build_cond_add(2)
     c.extend(cond.circuit, list(d) + list(rq) + [z])
     c.append(x(z))  # z <- quotient bit
-
-    layout = DividerLayout(
-        n=1,
-        kind=RESTORING,
-        adder_name=adder.name,
-        dividend_qubits=[rq[0]],
-        divisor_qubits=[d[0]],
-        divisor_pad=d[1],
-        iteration_windows=[[rq[0], rq[1]]],
-        sign_qubits=[z],
-        quotient_positions=[z],
-        remainder_positions=[rq[0]],
-        carry_wires=[z],
-        restore_control=None,
-        ancilla_qubits=list(anc),
-        structure=["sub", "cond_add"],
-    )
-    return c, layout
+    return c
 
 
 def _ripple_add(x: list[int], y: list[int], carry: int) -> tuple[list[int], int]:
@@ -346,7 +281,6 @@ def run_division(
 
 @dataclass
 class VerificationReport:
-    params_desc: str
     total: int = 0
     passed: int = 0
     first_failure: str | None = None
@@ -403,11 +337,7 @@ def verify_exhaustive(
     for got, want in zip(out, _expected_planes(circuit.qubit_count, layout, a, b, ones)):
         bad |= got ^ want
 
-    report = VerificationReport(
-        params_desc=f"n={n} adder={params.adder.name} kind={params.kind}",
-        total=lanes,
-        passed=lanes - bad.bit_count(),
-    )
+    report = VerificationReport(total=lanes, passed=lanes - bad.bit_count())
     if bad:
         k = (bad & -bad).bit_length() - 1
         dividend, divisor = k % per_divisor, (k >> n) + 1
@@ -429,9 +359,6 @@ def verify_exhaustive(
 class CrosscheckReport:
     """Measured resources of a built divider against the closed forms."""
 
-    n: int
-    adder_name: str
-    kind: str
     measured: ResourceReport
     adder_td: int
     adder_tc: int
@@ -444,12 +371,28 @@ class CrosscheckReport:
     qc_match: bool
     condadd_tc: int  # measured conditional-adder Toffolis at width n+1
     condadd_target: int  # 3n+1
-    condadd_tc_width_n: int  # the narrower reading of the same budget
 
-    def as_dict(self) -> dict:
-        out = dict(self.__dict__)
-        out["measured"] = self.measured.as_dict()
-        return out
+
+def overhead(n: int, kind: str) -> tuple[int, int, int]:
+    """(TD, TC, QC) a divider spends beyond its n adders and their ancillas.
+
+    Non-restoring: one conditional adder of 3n+1 Toffolis and 4n+2 wires.
+    Restoring: one such adder per iteration and 4n+1 wires.
+    """
+    if kind == NON_RESTORING:
+        return (3 * n + 1, 3 * n + 1, 4 * n + 2)
+    return (3 * n * n + n, 3 * n * n + n, 4 * n + 1)
+
+
+def compose(adder_costs: tuple[int, int, int], n: int, kind: str = NON_RESTORING):
+    """Divider cost triple from an adder's (TD, TC, ancillas) at width n+1."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}")
+    td_add, tc_add, anc = adder_costs
+    td, tc, qc = overhead(n, kind)
+    return (n * td_add + td, n * tc_add + tc, qc + anc)
 
 
 def crosscheck_counts(params: DividerParams) -> CrosscheckReport:
@@ -466,20 +409,11 @@ def crosscheck_counts(params: DividerParams) -> CrosscheckReport:
         len(frag.ancillas),
     )
 
-    if params.kind == NON_RESTORING:
-        formula_td = n * adder_td + 3 * n + 1
-        formula_tc = n * adder_tc + 3 * n + 1
-        formula_qc = 4 * n + 2 + adder_anc
-    else:
-        formula_td = n * adder_td + 3 * n * n + n
-        formula_tc = n * adder_tc + 3 * n * n + n
-        formula_qc = 4 * n + 1 + adder_anc
-
+    formula_td, formula_tc, formula_qc = compose(
+        (adder_td, adder_tc, adder_anc), n, params.kind
+    )
     condadd_tc = measure(build_cond_add(m).circuit).toffoli_count
     return CrosscheckReport(
-        n=n,
-        adder_name=adder.name,
-        kind=params.kind,
         measured=measured,
         adder_td=adder_td,
         adder_tc=adder_tc,
@@ -491,16 +425,15 @@ def crosscheck_counts(params: DividerParams) -> CrosscheckReport:
         td_within_bound=measured.toffoli_depth <= formula_td,
         qc_match=measured.qubit_count == formula_qc,
         condadd_tc=condadd_tc,
-        condadd_target=3 * n + 1,
-        condadd_tc_width_n=measure(build_cond_add(n).circuit).toffoli_count
-        if n >= 1
-        else 0,
+        condadd_target=overhead(n, NON_RESTORING)[1],
     )
 
 
 def layout_from_circuit(circuit: Circuit) -> DividerLayout:
-    """Reconstruct a divider layout from the register signature of an
-    imported circuit (as written by :func:`build_divider`)."""
+    """Wire roles of a divider circuit, from its register names and sizes.
+
+    This is the one source of every layout: :func:`build_divider` calls it
+    on a fresh build, and it reads an imported circuit the same way."""
     names = {r.name: r for r in circuit.registers}
     if "rq" not in names or "d" not in names:
         raise ValueError("not a divider circuit: missing rq/d registers")
@@ -514,6 +447,7 @@ def layout_from_circuit(circuit: Circuit) -> DividerLayout:
         kind = NON_RESTORING
         q = names["q"].qubits
         quotient = list(q)
+        structure = ["sub"] + ["add_sub"] * (n - 1) + ["cond_add"]
     elif "z" in names:
         kind = RESTORING
         if n == 1:
@@ -521,6 +455,7 @@ def layout_from_circuit(circuit: Circuit) -> DividerLayout:
         else:
             q = names["q"].qubits
             quotient = list(reversed(_restoring_cout_slots(rq, q, n)))
+        structure = ["sub", "cond_add"] * n
     else:
         raise ValueError("not a divider circuit: missing s/z register")
 
@@ -528,18 +463,14 @@ def layout_from_circuit(circuit: Circuit) -> DividerLayout:
     return DividerLayout(
         n=n,
         kind=kind,
-        adder_name="unknown",
         dividend_qubits=[rq[k] for k in range(n)],
         divisor_qubits=[d[k] for k in range(n)],
-        divisor_pad=d[n],
         iteration_windows=[_window(rq, n, i) for i in range(1, n + 1)],
-        sign_qubits=[],
         quotient_positions=quotient,
         remainder_positions=[rq[k] for k in range(n)],
-        carry_wires=[],
         restore_control=names["s"][0] if "s" in names else None,
         ancilla_qubits=anc,
-        structure=[],
+        structure=structure,
     )
 
 

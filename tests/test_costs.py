@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from revdiv.adders import get_adder
@@ -10,12 +12,13 @@ from revdiv.costs import (
     comparison_table,
     compose,
     evaluate_row,
+    floor_log2,
     improvement_percent,
     omega,
     rounding_audit,
     table_to_csv,
 )
-from revdiv.divider import NON_RESTORING, RESTORING
+from revdiv.divider import KINDS, NON_RESTORING, RESTORING
 
 
 def test_omega_values():
@@ -77,6 +80,33 @@ def test_strict_floor_mode_diverges_for_ling():
     assert audit["cuccaro"]["agree"]  # pure polynomial, no logs
 
 
+def test_strict_floor_is_exact_past_float_precision():
+    # n = 3 * 2^47 - 1: n/3 sits just below 2^47, which a float rounds up to
+    n = 422212465065983
+    td = evaluate_row("draper_cla", n, rounding=STRICT_FLOOR)[0]
+    # L(n) = L(n+1) = 48, L(n/3) = 46, L((n+1)/3) = 47
+    assert td == 11 * n + 48 * n + 48 * n + 46 * n + 47 * n + 1
+
+
+def _largest_k(v: Fraction) -> int:
+    """Reference: the largest k with 2**k <= v, stepping k one at a time."""
+    k = 0
+    while 2 ** (k + 1) <= v:
+        k += 1
+    while Fraction(2) ** k > v:
+        k -= 1
+    return k
+
+
+def test_floor_log2_matches_brute_force():
+    values = [Fraction(1, 6), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), 1, 3]
+    for e in range(47, 64):
+        for d in (-2, -1, 0, 1, 2):
+            values += [2**e + d] + [Fraction(c * 2**e + d, c) for c in (2, 3, 6)]
+    for v in values:
+        assert floor_log2(v) == _largest_k(Fraction(v)), v
+
+
 def test_row_errors():
     with pytest.raises(ValueError):
         evaluate_row("nope", 8)
@@ -99,10 +129,11 @@ def test_row_matches_measured_composition(adder, n):
     builder = get_adder(adder)
     frag = builder.build(n + 1)
     rep = measure(frag.circuit)
-    composed = compose(
-        (rep.toffoli_depth, rep.toffoli_count, len(frag.ancillas)), n
-    )
-    assert evaluate_row(adder, n)[1] == composed[1]
+    for kind in KINDS:
+        composed = compose(
+            (rep.toffoli_depth, rep.toffoli_count, len(frag.ancillas)), n, kind
+        )
+        assert evaluate_row(adder, n, kind=kind)[1] == composed[1]
 
 
 @pytest.mark.parametrize("n", [4, 8, 16, 32])

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from revdiv import divider
@@ -129,24 +131,70 @@ def test_terminal_state_fully_predicted(kind, adder, n):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_layout_survives_qasm_round_trip(kind, n):
-    c, layout = build_divider(make_params(n, "vbe", kind))
-    c2 = import_text(export_text(c))
-    layout2 = layout_from_circuit(c2)
-    assert layout2.quotient_positions == layout.quotient_positions
-    assert layout2.remainder_positions == layout.remainder_positions
-    assert layout2.dividend_qubits == layout.dividend_qubits
-    assert layout2.divisor_qubits == layout.divisor_qubits
-    assert layout2.kind == kind
-    q, r = run_division(c2, layout2, (1 << n) - 1, (1 << n) - 1)
-    assert (q, r) == (1, 0)
+    for adder in ADDER_NAMES:
+        c, layout = build_divider(make_params(n, adder, kind))
+        c2 = import_text(export_text(c))
+        layout2 = layout_from_circuit(c2)
+        assert layout2 == layout
+        q, r = run_division(c2, layout2, (1 << n) - 1, (1 << n) - 1)
+        assert (q, r) == (1, 0)
 
 
 def test_build_is_deterministic():
     a = export_text(build_divider(make_params(4, "cuccaro", NON_RESTORING))[0])
     b = export_text(build_divider(make_params(4, "cuccaro", NON_RESTORING))[0])
     assert a == b
+
+
+# First 16 hex digits of the SHA-256 of each build's exported QASM.  Any
+# change to a builder's gates, their order or the register layout moves one.
+QASM_SHA256 = {
+    (NON_RESTORING, "cuccaro", 1): "f85bba4c661f17e9",
+    (NON_RESTORING, "cuccaro", 2): "aca6a2b2aa87199a",
+    (NON_RESTORING, "cuccaro", 3): "d83aab2f45d69224",
+    (NON_RESTORING, "cuccaro", 4): "a5846d15d0a59e2f",
+    (NON_RESTORING, "cuccaro", 5): "60e145e1b8425180",
+    (NON_RESTORING, "cuccaro", 6): "821df7c180d96600",
+    (NON_RESTORING, "cuccaro", 7): "d5948879bd5f1305",
+    (NON_RESTORING, "cuccaro", 8): "238e5c93f57cf49d",
+    (NON_RESTORING, "cuccaro", 32): "9dffb97a81175829",
+    (NON_RESTORING, "vbe", 1): "35ae10e9fb8ea84f",
+    (NON_RESTORING, "vbe", 2): "75fb106ce54b0a17",
+    (NON_RESTORING, "vbe", 3): "20b76c0e14bdf6e8",
+    (NON_RESTORING, "vbe", 4): "3f056e87975320ef",
+    (NON_RESTORING, "vbe", 5): "c7570147469704e1",
+    (NON_RESTORING, "vbe", 6): "50024ff1d83e30f1",
+    (NON_RESTORING, "vbe", 7): "84c53109e53af410",
+    (NON_RESTORING, "vbe", 8): "fb41eb0e0d98b851",
+    (NON_RESTORING, "vbe", 32): "e493a7e579df4ae7",
+    (RESTORING, "cuccaro", 1): "bfca12c9dc461f79",
+    (RESTORING, "cuccaro", 2): "eeb0d5c46223bbf9",
+    (RESTORING, "cuccaro", 3): "77ebeb6257f7dbaf",
+    (RESTORING, "cuccaro", 4): "3ef584884c8944b3",
+    (RESTORING, "cuccaro", 5): "7518bbd39f77043c",
+    (RESTORING, "cuccaro", 6): "723611609e48a6fa",
+    (RESTORING, "cuccaro", 7): "1d4864fb6aa9f132",
+    (RESTORING, "cuccaro", 8): "cc020276834a4d56",
+    (RESTORING, "cuccaro", 32): "24e80890b1d1e235",
+    (RESTORING, "vbe", 1): "b3198f618686377f",
+    (RESTORING, "vbe", 2): "6d9e3bffae1fe671",
+    (RESTORING, "vbe", 3): "7300ce9446ec623a",
+    (RESTORING, "vbe", 4): "7b39a5e31437e164",
+    (RESTORING, "vbe", 5): "3f7b2f5f5f2d231a",
+    (RESTORING, "vbe", 6): "b1a1a28b6b52ef57",
+    (RESTORING, "vbe", 7): "6882abd2fa3415f4",
+    (RESTORING, "vbe", 8): "0951ddb1bd2b8cf5",
+    (RESTORING, "vbe", 32): "d73bf2998640b968",
+}
+
+
+@pytest.mark.parametrize("kind, adder, n", sorted(QASM_SHA256))
+def test_export_is_pinned(kind, adder, n):
+    text = export_text(build_divider(make_params(n, adder, kind))[0])
+    digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+    assert digest[:16] == QASM_SHA256[kind, adder, n]
 
 
 @pytest.mark.parametrize("kind", KINDS)
