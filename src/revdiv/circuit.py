@@ -8,7 +8,7 @@ but contribute no depth of their own.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 GATE_ARITY = {"x": 1, "cx": 2, "ccx": 3}
 
@@ -17,7 +17,7 @@ class CircuitError(ValueError):
     """Raised for structurally invalid gates, registers or mappings."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     """One gate: ``x`` (NOT), ``cx`` (CNOT) or ``ccx`` (Toffoli).
 
@@ -124,8 +124,15 @@ class Circuit:
             raise CircuitError("mapping entries must be pairwise distinct")
         if any(q < 0 or q >= self.qubit_count for q in mapping):
             raise CircuitError("mapping entry out of range for host circuit")
+        # An injective, in-range map sends a valid gate to a valid gate, so
+        # the copies skip Gate.__post_init__ and fill the slots directly.
+        set_name, set_qubits = Gate.name.__set__, Gate.qubits.__set__
+        append = self.gates.append
         for g in fragment.gates:
-            self.gates.append(Gate(g.name, tuple(mapping[q] for q in g.qubits)))
+            copy = object.__new__(Gate)
+            set_name(copy, g.name)
+            set_qubits(copy, tuple([mapping[q] for q in g.qubits]))
+            append(copy)
         return self
 
     def reversed(self) -> "Circuit":
@@ -144,12 +151,7 @@ class ResourceReport:
     gate_total: int
 
     def as_dict(self) -> dict:
-        return {
-            "toffoli_depth": self.toffoli_depth,
-            "toffoli_count": self.toffoli_count,
-            "qubit_count": self.qubit_count,
-            "gate_total": self.gate_total,
-        }
+        return asdict(self)
 
 
 def measure(circuit: Circuit) -> ResourceReport:
@@ -163,14 +165,19 @@ def measure(circuit: Circuit) -> ResourceReport:
     depth = 0
     count = 0
     for g in circuit.gates:
-        v = max(level[q] for q in g.qubits)
-        if g.name == "ccx":
-            v += 1
+        name = g.name
+        if name == "ccx":
+            a, b, t = g.qubits
+            v = max(level[a], level[b], level[t]) + 1
+            level[a] = level[b] = level[t] = v
             count += 1
             if v > depth:
                 depth = v
-        for q in g.qubits:
-            level[q] = v
+        elif name == "cx":
+            a, t = g.qubits
+            v = level[a] if level[a] > level[t] else level[t]
+            level[a] = level[t] = v
+        # x touches one wire, so it moves no level
     return ResourceReport(
         toffoli_depth=depth,
         toffoli_count=count,

@@ -440,24 +440,30 @@ def layout_from_circuit(circuit: Circuit) -> DividerLayout:
     rq = names["rq"].qubits
     d = names["d"].qubits
     n = len(rq) // 2
-    if len(rq) != 2 * n or len(d) != n + 1:
+    if n < 1 or len(rq) != 2 * n or len(d) != n + 1:
         raise ValueError("not a divider circuit: bad register sizes")
 
     if "s" in names:
-        kind = NON_RESTORING
-        q = names["q"].qubits
-        quotient = list(q)
-        structure = ["sub"] + ["add_sub"] * (n - 1) + ["cond_add"]
+        kind, flag, q_size = NON_RESTORING, "s", n
     elif "z" in names:
-        kind = RESTORING
-        if n == 1:
-            quotient = [names["z"][0]]
-        else:
-            q = names["q"].qubits
-            quotient = list(reversed(_restoring_cout_slots(rq, q, n)))
-        structure = ["sub", "cond_add"] * n
+        kind, flag, q_size = RESTORING, "z", n - 1
     else:
         raise ValueError("not a divider circuit: missing s/z register")
+    q = names["q"].qubits if "q" in names else ()
+    for name, reg, size in ((flag, names[flag].qubits, 1), ("q", q, q_size)):
+        if len(reg) != size:
+            raise ValueError(
+                f"not a divider circuit: n={n} needs {size} wire(s) in "
+                f"register {name!r}, found {len(reg)}"
+            )
+
+    if kind == NON_RESTORING:
+        quotient = list(q)
+        structure = ["sub"] + ["add_sub"] * (n - 1) + ["cond_add"]
+    else:
+        slots = _restoring_cout_slots(rq, q, n) if n > 1 else [names["z"][0]]
+        quotient = list(reversed(slots))
+        structure = ["sub", "cond_add"] * n
 
     anc = list(names["anc"].qubits) if "anc" in names else []
     return DividerLayout(

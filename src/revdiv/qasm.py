@@ -38,17 +38,13 @@ def export_text(circuit: Circuit) -> str:
     if covered != list(range(circuit.qubit_count)):
         raise QasmExportError("registers must tile all qubits exactly once")
 
-    index_to_ref = {}
-    for r in regs:
-        for i, q in enumerate(r.qubits):
-            index_to_ref[q] = f"{r.name}[{i}]"
-
+    # the registers tile the wires in order, so wire q's name is refs[q]
+    refs = [f"{r.name}[{i}]" for r in regs for i in range(len(r.qubits))]
     lines = [HEADER]
     for r in regs:
         lines.append(f"qubit[{len(r.qubits)}] {r.name};")
     for g in circuit.gates:
-        operands = ", ".join(index_to_ref[q] for q in g.qubits)
-        lines.append(f"{g.name} {operands};")
+        lines.append(f"{g.name} {', '.join([refs[q] for q in g.qubits])};")
     return "\n".join(lines) + "\n"
 
 

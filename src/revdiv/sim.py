@@ -28,14 +28,15 @@ def apply_planes(circuit: Circuit, planes: list[int], ones: int) -> list[int]:
         )
     w = planes
     for g in circuit.gates:
-        q = g.qubits
         name = g.name
         if name == "ccx":
-            w[q[2]] ^= w[q[0]] & w[q[1]]
+            a, b, t = g.qubits
+            w[t] ^= w[a] & w[b]
         elif name == "cx":
-            w[q[1]] ^= w[q[0]]
+            a, t = g.qubits
+            w[t] ^= w[a]
         else:
-            w[q[0]] ^= ones
+            w[g.qubits[0]] ^= ones
     return w
 
 

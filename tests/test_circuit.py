@@ -1,5 +1,10 @@
-import pytest
+import dataclasses
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from revdiv.adders import ADDERS
 from revdiv.circuit import (
     Circuit,
     CircuitError,
@@ -9,6 +14,7 @@ from revdiv.circuit import (
     measure,
     x,
 )
+from revdiv.divider import KINDS, build_divider, make_params
 
 
 def test_gate_validation():
@@ -23,6 +29,33 @@ def test_gate_validation():
     g = ccx(0, 1, 2)
     assert g.controls == (0, 1)
     assert g.target == 2
+
+
+def test_gate_is_slotted_and_frozen():
+    g = ccx(0, 1, 2)
+    assert not hasattr(g, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.name = "cx"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.qubits = (0, 1)
+    assert g == Gate("ccx", (0, 1, 2))
+    assert hash(g) == hash(Gate("ccx", (0, 1, 2)))
+    assert repr(g) == "Gate(name='ccx', qubits=(0, 1, 2))"
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("adder", sorted(ADDERS))
+def test_extend_copies_equal_validated_gates(kind, adder):
+    # extend skips validation; every copy must still be a gate that passes it
+    for n in range(1, 9):
+        c, _ = build_divider(make_params(n, adder, kind))
+        for g in c.gates:
+            checked = Gate(g.name, g.qubits)
+            assert type(g) is Gate
+            assert type(g.qubits) is tuple
+            assert g == checked
+            assert hash(g) == hash(checked)
+            assert max(g.qubits) < c.qubit_count
 
 
 def test_register_allocation_contiguous():
@@ -111,3 +144,39 @@ def test_reversed_is_inverse_order():
     r = c.reversed()
     assert r.gates == [ccx(0, 1, 2), x(0)]
     assert c.gates == [x(0), ccx(0, 1, 2)]
+
+
+def _reference_measure(c):
+    """Dependency scheduling as a max over every operand's level."""
+    level = [0] * c.qubit_count
+    depth = count = 0
+    for g in c.gates:
+        v = max(level[q] for q in g.qubits)
+        if g.name == "ccx":
+            v += 1
+            count += 1
+            depth = max(depth, v)
+        for q in g.qubits:
+            level[q] = v
+    return depth, count
+
+
+@st.composite
+def _random_circuits(draw):
+    width = draw(st.integers(min_value=3, max_value=8))
+    c = Circuit()
+    c.new_register("w", width)
+    for _ in range(draw(st.integers(min_value=0, max_value=60))):
+        arity = draw(st.sampled_from([1, 2, 3]))
+        wires = draw(st.permutations(range(width)))[:arity]
+        c.append({1: x, 2: cx, 3: ccx}[arity](*wires))
+    return c
+
+
+@settings(max_examples=300, deadline=None)
+@given(_random_circuits())
+def test_measure_matches_reference_scheduler(c):
+    rep = measure(c)
+    assert (rep.toffoli_depth, rep.toffoli_count) == _reference_measure(c)
+    assert rep.qubit_count == c.qubit_count
+    assert rep.gate_total == len(c.gates)

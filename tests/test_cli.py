@@ -122,6 +122,26 @@ def test_simulate_parse_error_has_location(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "registers",
+    [
+        "qubit[4] rq;\nqubit[3] d;\nqubit[1] s;\n",  # no quotient register
+        "qubit[4] rq;\nqubit[3] d;\nqubit[2] q;\nqubit[0] s;\n",  # empty sign
+        "qubit[4] rq;\nqubit[3] d;\nqubit[1] z;\nqubit[5] q;\n",  # restoring needs q[1]
+    ],
+    ids=["missing_q", "empty_s", "oversized_q"],
+)
+def test_simulate_rejects_malformed_divider(tmp_path, capsys, registers):
+    bad = tmp_path / "bad.qasm"
+    bad.write_text("OPENQASM 3.0;\n" + registers)
+    rc = main(["simulate", "--circuit", str(bad), "--dividend", "3",
+               "--divisor", "1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: not a divider circuit:")
+
+
 def test_table_csv(capsys):
     rc = main(["table", "--n", "32", "--format", "csv"])
     assert rc == 0

@@ -62,6 +62,7 @@ def test_import_ignores_comments_and_blanks():
         (f"{HEADER}\nqubit[1] a;\nx a[1];\n", "out of range"),
         (f"{HEADER}\nqubit[2] a;\ncx a[0];\n", "takes 2 operands"),
         (f"{HEADER}\nqubit[1] a;\nx foo;\n", "bad operand"),
+        (f"{HEADER}\nqubit[2] a;\ncx a[0], a[0];\n", "line 3: duplicate operands"),
     ],
 )
 def test_parse_errors(text, fragment):
