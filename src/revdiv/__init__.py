@@ -4,7 +4,6 @@ from .adders import (
     ADDERS,
     AdderBuilder,
     AdderFragment,
-    ControlledFragment,
     build_cond_add,
     build_cuccaro,
     build_vbe,

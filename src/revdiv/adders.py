@@ -1,55 +1,53 @@
 """Gate-level in-place adders and the divider's three wrapper sub-circuits.
 
-All fragments share one wire layout: ``a[0..m-1]``, ``b[0..m-1]``, then
-``cin``, then ``cout`` where present, then internal ancillas.  Every adder
-computes |a>|b> -> |a>|a+b+cin mod 2^m> with the overflow bit XORed onto
-``cout``; ``a``, ``cin`` and all internal ancillas come back to their input
-values.
+Fragments name their wires by role (``a``, ``b``, ``carry_in``, ``carry_out``
+where present, ancillas), and :meth:`AdderFragment.place` copies them onto
+host wires by role.  Every adder computes |a>|b> -> |a>|a+b+cin mod 2^m>
+with the overflow bit XORed onto ``carry_out``; ``a``, ``carry_in`` and all
+internal ancillas come back to their input values.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable
 
-from .circuit import Circuit, ccx, cx, x
+from .circuit import Circuit, CircuitError, ccx, cx, x
 
 
 @dataclass(frozen=True)
 class AdderFragment:
-    """An in-place adder circuit plus its wire roles."""
+    """An adder-shaped circuit plus its wire roles.
 
-    circuit: Circuit
-    a: tuple[int, ...]
-    b: tuple[int, ...]
-    carry_in: int
-    carry_out: int
-    ancillas: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ControlledFragment:
-    """A fragment whose arithmetic is gated by a single control wire.
-
-    For the add-subtract wrapper the control doubles as the carry-in; for
-    the conditional adder there is no carry wire at all (addition is taken
-    mod 2^m).
+    In the add-subtractor and the conditional adder, ``carry_in`` is the
+    control wire; ``carry_out`` is None where there is no carry-out.
     """
 
     circuit: Circuit
     a: tuple[int, ...]
     b: tuple[int, ...]
-    control: int
+    carry_in: int
     carry_out: int | None
     ancillas: tuple[int, ...]
+
+    def place(self, host: Circuit, a, b, carry_in: int, carry_out=None, ancillas=()):
+        """Append the fragment's gates to ``host``, each role on the given wires."""
+        want = (len(self.a), len(self.b), self.carry_out is not None, len(self.ancillas))
+        got = (len(a), len(b), carry_out is not None, len(ancillas))
+        if got != want:
+            raise CircuitError(
+                f"fragment roles (a, b, carry-out, ancillas) take {want} wires, got {got}"
+            )
+        own = (*self.a, *self.b, self.carry_in, self.carry_out, *self.ancillas)
+        host_of = dict(zip(own, (*a, *b, carry_in, carry_out, *ancillas)))
+        host.extend(self.circuit, [host_of[k] for k in range(self.circuit.qubit_count)])
 
 
 @dataclass(frozen=True)
 class AdderBuilder:
-    """A named in-place adder construction with a declared ancilla footprint."""
+    """A named in-place adder construction."""
 
     name: str
     build: Callable[[int], AdderFragment]
-    ancilla_count: Callable[[int], int]
 
 
 def _adder_shell(m: int, n_anc: int) -> tuple[Circuit, AdderFragment]:
@@ -131,8 +129,8 @@ def build_vbe(m: int) -> AdderFragment:
     return frag
 
 
-CUCCARO = AdderBuilder("cuccaro", build_cuccaro, lambda m: 0)
-VBE = AdderBuilder("vbe", build_vbe, lambda m: m - 1)
+CUCCARO = AdderBuilder("cuccaro", build_cuccaro)
+VBE = AdderBuilder("vbe", build_vbe)
 
 ADDERS = {b.name: b for b in (CUCCARO, VBE)}
 
@@ -157,15 +155,15 @@ def wrap_subtractor(adder: AdderBuilder, m: int) -> AdderFragment:
     c.append(x(frag.carry_in))
     for q in frag.a:
         c.append(x(q))
-    c.extend(inner.circuit, list(range(inner.circuit.qubit_count)))
+    inner.place(c, frag.a, frag.b, frag.carry_in, frag.carry_out, frag.ancillas)
     for q in frag.a:
         c.append(x(q))
     c.append(x(frag.carry_in))
     return frag
 
 
-def wrap_add_sub(adder: AdderBuilder, m: int) -> ControlledFragment:
-    """Controlled adder-subtractor: the control is also the carry-in.
+def wrap_add_sub(adder: AdderBuilder, m: int) -> AdderFragment:
+    """Controlled adder-subtractor: the control is the carry-in.
 
     Control 0: |a>|b> -> |a>|a+b mod 2^m>.  Control 1: the subtrahend wires
     are flipped and the carry-in rides high, giving |a>|b-a mod 2^m>.  The
@@ -173,19 +171,16 @@ def wrap_add_sub(adder: AdderBuilder, m: int) -> ControlledFragment:
     cases it reads 1 exactly when the signed result is non-negative.
     """
     inner = adder.build(m)
-    c, shell = _adder_shell(m, len(inner.ancillas))
-    ctrl = shell.carry_in
-    for q in shell.a:
-        c.append(cx(ctrl, q))
-    c.extend(inner.circuit, list(range(inner.circuit.qubit_count)))
-    for q in shell.a:
-        c.append(cx(ctrl, q))
-    return ControlledFragment(
-        c, shell.a, shell.b, ctrl, shell.carry_out, shell.ancillas
-    )
+    c, frag = _adder_shell(m, len(inner.ancillas))
+    for q in frag.a:
+        c.append(cx(frag.carry_in, q))
+    inner.place(c, frag.a, frag.b, frag.carry_in, frag.carry_out, frag.ancillas)
+    for q in frag.a:
+        c.append(cx(frag.carry_in, q))
+    return frag
 
 
-def build_cond_add(m: int) -> ControlledFragment:
+def build_cond_add(m: int) -> AdderFragment:
     """Conditional adder: |c>|a>|b> -> |c>|a>|b + c*a mod 2^m>.
 
     Carries are rippled into the a-wires unconditionally, only the sum
@@ -213,4 +208,4 @@ def build_cond_add(m: int) -> ControlledFragment:
         c.append(cx(a[i], a[i + 1]))
     for i in range(1, m):
         c.append(cx(a[i], b[i]))
-    return ControlledFragment(c, a, b, ctrl, None, ())
+    return AdderFragment(c, a, b, ctrl, None, ())

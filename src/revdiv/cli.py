@@ -78,8 +78,8 @@ def cmd_table(args) -> int:
     for r in rows:
         if r.strict_floor_disagrees:
             print(
-                f"audit: {r.divider}: strict-floor reading disagrees "
-                f"with {args.rounding}",
+                f"audit: {r.divider}: {costs.CEIL_REAL_LOG} and "
+                f"{costs.STRICT_FLOOR} readings disagree",
                 file=sys.stderr,
             )
     if args.format == "csv":

@@ -179,6 +179,8 @@ def evaluate_row(
         raise ValueError(f"kind must be one of {KINDS}")
     if rounding not in ROUNDINGS:
         raise ValueError(f"rounding must be one of {ROUNDINGS}")
+    if radix is not None and row_id != "higher_radix":
+        raise ValueError(f"only higher_radix takes a radix, not {row_id!r}")
     td, tc, qc = _row_values(row_id, n, radix, strict=(rounding == STRICT_FLOOR))
     if kind == RESTORING:
         # each row is a non-restoring divider; swap its overhead for the

@@ -58,7 +58,6 @@ class DividerLayout:
     remainder_positions: list[int]  # LSB first
     restore_control: int | None  # conditional-adder control (non-restoring)
     ancilla_qubits: list[int]
-    structure: list[str]  # sub-circuits in gate order
 
 
 def build_divider(params: DividerParams) -> tuple[Circuit, DividerLayout]:
@@ -75,46 +74,35 @@ def _window(rq, n: int, i: int) -> list[int]:
     return [rq[k] for k in range(n - i, 2 * n - i + 1)]
 
 
-def _inline_adder_shaped(c, frag, a, b, cin, cout, anc):
-    """Map a fragment laid out as a|b|cin|cout|anc onto host wires; internal
-    ancillas go to the host's shared ancilla block."""
-    mapping = list(a) + list(b) + [cin, cout] + list(anc[: len(frag.ancillas)])
-    c.extend(frag.circuit, mapping)
-
-
 def _build_nonrestoring(params: DividerParams) -> Circuit:
     n, adder = params.n, params.adder
     m = n + 1
-    n_anc = adder.ancilla_count(m)
+    sub = wrap_subtractor(adder, m)
 
     c = Circuit()
     rq = c.new_register("rq", 2 * n).qubits
     d = c.new_register("d", m).qubits
     q = c.new_register("q", n).qubits  # q[n-i] holds quotient bit i
     s = c.new_register("s", 1)[0]
-    anc = c.new_register("anc", n_anc).qubits if n_anc else ()
+    anc = c.new_register("anc", len(sub.ancillas)).qubits if sub.ancillas else ()
 
     # Step 1: plain subtractor.  Its carry-in wire comes back to 0 and is
     # recycled: for n >= 2 it is iteration 2's carry-out slot, for n = 1 the
     # conditional-adder control.
     cin1 = q[n - 2] if n >= 2 else s
-    sub = wrap_subtractor(adder, m)
-    _inline_adder_shaped(c, sub, d, _window(rq, n, 1), cin1, q[n - 1], anc)
+    sub.place(c, d, _window(rq, n, 1), cin1, q[n - 1], anc)
 
     # Step 2: controlled adder-subtractors; previous quotient bit is both
     # control and carry-in.
     addsub = wrap_add_sub(adder, m) if n >= 2 else None
     for i in range(2, n + 1):
-        _inline_adder_shaped(
-            c, addsub, d, _window(rq, n, i), q[n - i + 1], q[n - i], anc
-        )
+        addsub.place(c, d, _window(rq, n, i), q[n - i + 1], q[n - i], anc)
 
     # Step 3: copy the final sign onto the control wire and conditionally
     # add the divisor back.
     c.append(cx(q[0], s))
     c.append(x(s))
-    cond = build_cond_add(m)
-    c.extend(cond.circuit, list(d) + _window(rq, n, n) + [s])
+    build_cond_add(m).place(c, d, _window(rq, n, n), s)
     return c
 
 
@@ -135,24 +123,23 @@ def _restoring_cout_slots(rq, q, n: int) -> list[int]:
 def _build_restoring(params: DividerParams) -> Circuit:
     n, adder = params.n, params.adder
     m = n + 1
-    n_anc = adder.ancilla_count(m)
+    sub = wrap_subtractor(adder, m)
 
     c = Circuit()
     rq = c.new_register("rq", 2 * n).qubits
     d = c.new_register("d", m).qubits
     z = c.new_register("z", 1)[0]
     q = c.new_register("q", n - 1).qubits
-    anc = c.new_register("anc", n_anc).qubits if n_anc else ()
+    anc = c.new_register("anc", len(sub.ancillas)).qubits if sub.ancillas else ()
 
     couts = _restoring_cout_slots(rq, q, n)
-    sub = wrap_subtractor(adder, m)
     cond = build_cond_add(m)
     for i in range(1, n + 1):
         w = _window(rq, n, i)
         cw = couts[i - 1]
-        _inline_adder_shaped(c, sub, d, w, z, cw, anc)
+        sub.place(c, d, w, z, cw, anc)
         c.append(x(cw))  # carry-out -> sign
-        c.extend(cond.circuit, list(d) + w + [cw])
+        cond.place(c, d, w, cw)
         c.append(x(cw))  # sign -> quotient bit
     return c
 
@@ -163,10 +150,10 @@ def _build_restoring_width1(params: DividerParams) -> Circuit:
     The only subtraction starts from a window whose top wire is a known 0,
     so b-a is computed as ~(~b + a) with the ripple carry folded into that
     top wire; the single carry wire then serves as the conditional-adder
-    control and ends up holding the quotient bit.  The adder's declared
-    workspace is still reserved so the qubit budget matches the closed form.
+    control and ends up holding the quotient bit.  The adder's ancillas at
+    width 2 are still reserved so the qubit budget matches the closed form.
     """
-    n_anc = params.adder.ancilla_count(2)
+    n_anc = len(params.adder.build(2).ancillas)
 
     c = Circuit()
     rq = c.new_register("rq", 2).qubits
@@ -182,8 +169,7 @@ def _build_restoring_width1(params: DividerParams) -> Circuit:
     c.append(x(rq[0]))
     c.append(x(rq[1]))
     c.append(cx(rq[1], z))  # z <- sign
-    cond = build_cond_add(2)
-    c.extend(cond.circuit, list(d) + list(rq) + [z])
+    build_cond_add(2).place(c, d, rq, z)
     c.append(x(z))  # z <- quotient bit
     return c
 
@@ -355,24 +341,6 @@ def verify_exhaustive(
     return report
 
 
-@dataclass
-class CrosscheckReport:
-    """Measured resources of a built divider against the closed forms."""
-
-    measured: ResourceReport
-    adder_td: int
-    adder_tc: int
-    adder_anc: int
-    formula_td: int
-    formula_tc: int
-    formula_qc: int
-    tc_offset: int  # measured TC - formula TC
-    td_within_bound: bool  # measured TD <= formula TD
-    qc_match: bool
-    condadd_tc: int  # measured conditional-adder Toffolis at width n+1
-    condadd_target: int  # 3n+1
-
-
 def overhead(n: int, kind: str) -> tuple[int, int, int]:
     """(TD, TC, QC) a divider spends beyond its n adders and their ancillas.
 
@@ -395,38 +363,16 @@ def compose(adder_costs: tuple[int, int, int], n: int, kind: str = NON_RESTORING
     return (n * td_add + td, n * tc_add + tc, qc + anc)
 
 
-def crosscheck_counts(params: DividerParams) -> CrosscheckReport:
-    n, adder = params.n, params.adder
-    m = n + 1
+def crosscheck_counts(
+    params: DividerParams,
+) -> tuple[ResourceReport, tuple[int, int, int]]:
+    """The built divider's measured resources, and the (TD, TC, QC) that
+    :func:`compose` gives for its adder as measured at width n+1."""
     circuit, _ = build_divider(params)
-    measured = measure(circuit)
-
-    frag = adder.build(m)
-    frep = measure(frag.circuit)
-    adder_td, adder_tc, adder_anc = (
-        frep.toffoli_depth,
-        frep.toffoli_count,
-        len(frag.ancillas),
-    )
-
-    formula_td, formula_tc, formula_qc = compose(
-        (adder_td, adder_tc, adder_anc), n, params.kind
-    )
-    condadd_tc = measure(build_cond_add(m).circuit).toffoli_count
-    return CrosscheckReport(
-        measured=measured,
-        adder_td=adder_td,
-        adder_tc=adder_tc,
-        adder_anc=adder_anc,
-        formula_td=formula_td,
-        formula_tc=formula_tc,
-        formula_qc=formula_qc,
-        tc_offset=measured.toffoli_count - formula_tc,
-        td_within_bound=measured.toffoli_depth <= formula_td,
-        qc_match=measured.qubit_count == formula_qc,
-        condadd_tc=condadd_tc,
-        condadd_target=overhead(n, NON_RESTORING)[1],
-    )
+    frag = params.adder.build(params.n + 1)
+    rep = measure(frag.circuit)
+    adder_costs = (rep.toffoli_depth, rep.toffoli_count, len(frag.ancillas))
+    return measure(circuit), compose(adder_costs, params.n, params.kind)
 
 
 def layout_from_circuit(circuit: Circuit) -> DividerLayout:
@@ -459,11 +405,9 @@ def layout_from_circuit(circuit: Circuit) -> DividerLayout:
 
     if kind == NON_RESTORING:
         quotient = list(q)
-        structure = ["sub"] + ["add_sub"] * (n - 1) + ["cond_add"]
     else:
         slots = _restoring_cout_slots(rq, q, n) if n > 1 else [names["z"][0]]
         quotient = list(reversed(slots))
-        structure = ["sub", "cond_add"] * n
 
     anc = list(names["anc"].qubits) if "anc" in names else []
     return DividerLayout(
@@ -476,7 +420,6 @@ def layout_from_circuit(circuit: Circuit) -> DividerLayout:
         remainder_positions=[rq[k] for k in range(n)],
         restore_control=names["s"][0] if "s" in names else None,
         ancilla_qubits=anc,
-        structure=structure,
     )
 
 

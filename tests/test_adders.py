@@ -9,7 +9,7 @@ from revdiv.adders import (
     wrap_add_sub,
     wrap_subtractor,
 )
-from revdiv.circuit import measure
+from revdiv.circuit import Circuit, CircuitError, measure
 from revdiv.sim import apply, decode_register, encode_register
 
 
@@ -55,8 +55,8 @@ def test_vbe_toffoli_count_and_ancillas(m):
 
 def test_adder_registry():
     assert set(ADDERS) == {"cuccaro", "vbe"}
-    assert get_adder("cuccaro").ancilla_count(5) == 0
-    assert get_adder("vbe").ancilla_count(5) == 4
+    assert len(get_adder("cuccaro").build(5).ancillas) == 0
+    assert len(get_adder("vbe").build(5).ancillas) == 4
     with pytest.raises(ValueError):
         get_adder("nope")
 
@@ -93,12 +93,12 @@ def test_add_sub_both_branches(name, m):
                 state = [0] * frag.circuit.qubit_count
                 encode_register(frag.a, a, state)
                 encode_register(frag.b, b, state)
-                state[frag.control] = ctrl
+                state[frag.carry_in] = ctrl
                 out = apply(frag.circuit, state)
                 want = (b - a) if ctrl else (a + b)
                 assert decode_register(out, frag.b) == want % (1 << m)
                 assert decode_register(out, frag.a) == a
-                assert out[frag.control] == ctrl
+                assert out[frag.carry_in] == ctrl
                 # carry-out = 1 iff the signed result is non-negative
                 nonneg = (b >= a) if ctrl else (a + b >= (1 << m))
                 assert out[frag.carry_out] == int(nonneg)
@@ -114,15 +114,15 @@ def test_cond_add_exhaustive(m):
                 state = [0] * frag.circuit.qubit_count
                 encode_register(frag.a, a, state)
                 encode_register(frag.b, b, state)
-                state[frag.control] = ctrl
+                state[frag.carry_in] = ctrl
                 out = apply(frag.circuit, state)
                 want = (b + a) % (1 << m) if ctrl else b
                 assert decode_register(out, frag.b) == want
                 assert decode_register(out, frag.a) == a
-                assert out[frag.control] == ctrl
+                assert out[frag.carry_in] == ctrl
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("m", list(range(1, 10)))
 def test_cond_add_toffoli_count(m):
     rep = measure(build_cond_add(m).circuit)
     assert rep.toffoli_count == 3 * (m - 1) + 1
@@ -134,3 +134,13 @@ def test_width_validation():
         build_cuccaro(0)
     with pytest.raises(ValueError):
         build_cond_add(0)
+    # place checks each role's width, not just the total wire count
+    frag = build_cuccaro(3)
+    host = Circuit()
+    wires = host.new_register("w", frag.circuit.qubit_count).qubits
+    frag.place(host, wires[0:3], wires[3:6], wires[6], wires[7])
+    for a, b in ((wires[0:2], wires[2:6]), (wires[0:4], wires[4:6])):
+        with pytest.raises(CircuitError):
+            frag.place(host, a, b, wires[6], wires[7])
+    with pytest.raises(CircuitError):
+        frag.place(host, wires[0:3], wires[3:6], wires[6])  # carry-out missing

@@ -56,6 +56,12 @@ def test_estimate_radix_bounds(capsys):
     rc = main(["estimate", "--n", "32", "--row", "higher_radix", "--radix", "2"])
     assert rc == 1
     assert "2 < r <= n" in capsys.readouterr().err
+    # a row without a radix rejects one instead of ignoring it
+    rc = main(["estimate", "--n", "32", "--row", "ling", "--radix", "5"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_estimate_strict_floor_mode(capsys):
@@ -152,6 +158,15 @@ def test_table_csv(capsys):
     assert "restoring_takahashi_combination,6010,10496,151" in "\n".join(lines)
     # strict-floor disagreements are audited on the error stream
     assert "audit" in captured.err
+
+
+@pytest.mark.parametrize("rounding", ["ceil-real-log", "strict-floor"])
+def test_table_audit_names_both_conventions(capsys, rounding):
+    assert main(["table", "--n", "32", "--rounding", rounding]) == 0
+    err = capsys.readouterr().err.splitlines()
+    line = "audit: non_restoring_ling: ceil-real-log and strict-floor readings disagree"
+    assert line in err
+    assert all(e.endswith(": ceil-real-log and strict-floor readings disagree") for e in err)
 
 
 def test_table_json(capsys):

@@ -120,6 +120,8 @@ def test_row_errors():
         evaluate_row("higher_radix", 8, radix=2)
     with pytest.raises(ValueError):
         evaluate_row("higher_radix", 8, radix=9)
+    with pytest.raises(ValueError, match="only higher_radix takes a radix"):
+        evaluate_row("ling", 32, radix=5)
     assert evaluate_row("higher_radix", 8, radix=3)
 
 
