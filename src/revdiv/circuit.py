@@ -94,12 +94,6 @@ class Circuit:
         self.registers.append(reg)
         return reg
 
-    def register(self, name: str) -> Register:
-        for r in self.registers:
-            if r.name == name:
-                return r
-        raise CircuitError(f"no register named {name!r}")
-
     def append(self, gate: Gate) -> "Circuit":
         if any(q >= self.qubit_count for q in gate.qubits):
             raise CircuitError(

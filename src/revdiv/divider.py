@@ -57,7 +57,6 @@ class DividerLayout:
     quotient_positions: list[int]  # LSB first
     remainder_positions: list[int]  # LSB first
     restore_control: int | None  # conditional-adder control (non-restoring)
-    ancilla_qubits: list[int]
 
 
 def build_divider(params: DividerParams) -> tuple[Circuit, DividerLayout]:
@@ -409,7 +408,6 @@ def layout_from_circuit(circuit: Circuit) -> DividerLayout:
         slots = _restoring_cout_slots(rq, q, n) if n > 1 else [names["z"][0]]
         quotient = list(reversed(slots))
 
-    anc = list(names["anc"].qubits) if "anc" in names else []
     return DividerLayout(
         n=n,
         kind=kind,
@@ -419,7 +417,6 @@ def layout_from_circuit(circuit: Circuit) -> DividerLayout:
         quotient_positions=quotient,
         remainder_positions=[rq[k] for k in range(n)],
         restore_control=names["s"][0] if "s" in names else None,
-        ancilla_qubits=anc,
     )
 
 

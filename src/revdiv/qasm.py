@@ -8,13 +8,14 @@ of exported text reproduces the circuit structurally.
 from __future__ import annotations
 
 import re
+import sys
 
 from .circuit import Circuit, Gate, GATE_ARITY
 
 HEADER = "OPENQASM 3.0;"
 
-_DECL_RE = re.compile(r"^qubit\[(\d+)\]\s+([A-Za-z_][A-Za-z_0-9]*)\s*;$")
-_OPERAND_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)\[(\d+)\]$")
+_DECL_RE = re.compile(r"^qubit\[(\d+)\]\s+([A-Za-z_][A-Za-z_0-9]*)\s*;$", re.ASCII)
+_OPERAND_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)\[(\d+)\]$", re.ASCII)
 
 
 class QasmExportError(ValueError):
@@ -49,14 +50,54 @@ def export_text(circuit: Circuit) -> str:
 
 
 def import_text(text: str) -> Circuit:
-    """Parse OpenQASM-subset text back into a circuit."""
+    r"""Parse OpenQASM-subset text back into a circuit.
+
+    Lines end at ``"\n"`` only; a ``"\r"`` before it is dropped with the
+    other surrounding whitespace.  Each gate line takes the first path that
+    applies:
+
+    1. a raw line already parsed in this call appends the same ``Gate``
+       again, so an imported circuit may share one immutable ``Gate``
+       object between positions;
+    2. a canonical line, spelled exactly as :func:`export_text` writes it,
+       maps each ``reg[i]`` token to its wire through a dict that the
+       declarations fill;
+    3. any other line goes through the regex path below.  That
+       path is the only one that raises, so every error message and line
+       number comes from it.
+    """
     circuit = Circuit()
+    gates = circuit.gates
     bases: dict[str, int] = {}
     sizes: dict[str, int] = {}
+    wires: dict[str, int] = {}  # "reg[i]" -> wire, for every declared wire
+    seen: dict[str, Gate] = {}  # raw gate line -> its Gate
+    set_name, set_qubits = Gate.name.__set__, Gate.qubits.__set__
     saw_header = False
-    saw_gate = False
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        gate = seen.get(raw)
+        if gate is not None:
+            gates.append(gate)
+            continue
+        name, _, rest = raw.partition(" ")
+        if name in GATE_ARITY and rest[-1:] == ";":
+            try:
+                qubits = tuple([wires[tok] for tok in rest[:-1].split(", ")])
+            except KeyError:
+                qubits = ()
+            # Every token in ``wires`` names an in-range wire, so distinct
+            # wires of the right arity make a valid gate: fill the slots
+            # directly, as Circuit.extend does.  The name is interned so
+            # that imported gates share it, as built gates do.
+            if len(qubits) == GATE_ARITY[name] and len(set(qubits)) == len(qubits):
+                gate = object.__new__(Gate)
+                set_name(gate, sys.intern(name))
+                set_qubits(gate, qubits)
+                gates.append(gate)
+                seen[raw] = gate
+                continue
+
         line = raw.split("//", 1)[0].strip()
         if not line:
             continue
@@ -68,14 +109,16 @@ def import_text(text: str) -> Circuit:
 
         m = _DECL_RE.match(line)
         if m:
-            if saw_gate:
+            if gates:
                 raise QasmParseError(line_no, "declaration after gate statement")
             size, name = int(m.group(1)), m.group(2)
             if name in bases:
                 raise QasmParseError(line_no, f"register {name!r} redeclared")
-            bases[name] = circuit.qubit_count
+            base = bases[name] = circuit.qubit_count
             sizes[name] = size
             circuit.new_register(name, size)
+            for i in range(size):
+                wires[f"{name}[{i}]"] = base + i
             continue
 
         if not line.endswith(";"):
@@ -108,10 +151,11 @@ def import_text(text: str) -> Circuit:
                 f"gate {name!r} takes {GATE_ARITY[name]} operands, got {len(operands)}",
             )
         try:
-            circuit.append(Gate(name, tuple(operands)))
+            gate = Gate(name, tuple(operands))
+            circuit.append(gate)
         except ValueError as exc:
             raise QasmParseError(line_no, str(exc)) from exc
-        saw_gate = True
+        seen[raw] = gate
 
     if not saw_header:
         raise QasmParseError(1, "missing OPENQASM header")

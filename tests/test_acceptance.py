@@ -55,8 +55,8 @@ def test_criterion_2_qubit_budget():
     for kind, base in ((NON_RESTORING, 2), (RESTORING, 1)):
         for adder in ADDER_NAMES:
             for n in range(1, 9):
-                c, layout = build_divider(make_params(n, adder, kind))
-                anc = len(layout.ancilla_qubits)
+                c, _ = build_divider(make_params(n, adder, kind))
+                anc = sum(len(r) for r in c.registers if r.name == "anc")
                 ok = ok and c.qubit_count == 4 * n + base + anc
                 ok = ok and anc == (n if adder == "vbe" else 0)
     assert _report(2, "qubit budget 4n+2+anc / 4n+1+anc", ok)

@@ -65,11 +65,9 @@ def test_register_allocation_contiguous():
     assert a.qubits == (0, 1, 2)
     assert b.qubits == (3, 4)
     assert c.qubit_count == 5
-    assert c.register("a") is a
+    assert c.registers == [a, b]
     with pytest.raises(CircuitError):
         c.new_register("a", 1)
-    with pytest.raises(CircuitError):
-        c.register("missing")
 
 
 def test_append_bounds():

@@ -4,7 +4,7 @@ import pytest
 
 from revdiv import divider
 from revdiv.adders import get_adder
-from revdiv.circuit import measure
+from revdiv.circuit import Gate, measure
 from revdiv.divider import (
     KINDS,
     NON_RESTORING,
@@ -56,9 +56,10 @@ def test_run_division_input_validation(kind):
 @pytest.mark.parametrize("adder", ADDER_NAMES)
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_qubit_budget(kind, adder, n):
-    c, layout = build_divider(make_params(n, adder, kind))
+    c, _ = build_divider(make_params(n, adder, kind))
     base = 2 if kind == NON_RESTORING else 1
-    assert c.qubit_count == 4 * n + base + len(layout.ancilla_qubits)
+    anc = sum(len(r) for r in c.registers if r.name == "anc")
+    assert c.qubit_count == 4 * n + base + anc
 
 
 @pytest.mark.parametrize("adder", ADDER_NAMES)
@@ -121,11 +122,16 @@ def test_terminal_state_fully_predicted(kind, adder, n):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 32])
 def test_layout_survives_qasm_round_trip(kind, n):
     for adder in ADDER_NAMES:
         c, layout = build_divider(make_params(n, adder, kind))
         c2 = import_text(export_text(c))
+        assert c2 == c
+        for g in c2.gates:
+            assert type(g) is Gate
+            assert type(g.qubits) is tuple
+            assert g == Gate(g.name, g.qubits)
         layout2 = layout_from_circuit(c2)
         assert layout2 == layout
         q, r = run_division(c2, layout2, (1 << n) - 1, (1 << n) - 1)

@@ -63,12 +63,69 @@ def test_import_ignores_comments_and_blanks():
         (f"{HEADER}\nqubit[2] a;\ncx a[0];\n", "takes 2 operands"),
         (f"{HEADER}\nqubit[1] a;\nx foo;\n", "bad operand"),
         (f"{HEADER}\nqubit[2] a;\ncx a[0], a[0];\n", "line 3: duplicate operands"),
+        # only "\n" ends a line, so a form feed inside a comment stays there
+        (f"{HEADER}\n// a\x0cb\nqubit[2] a;\ncx a[0], a[0];\n", "line 4: duplicate operands"),
+        # digits are ASCII only: ARABIC-INDIC THREE and ONE are not indices
+        (f"{HEADER}\nqubit[\u0663] a;\n", "line 2: unknown gate 'qubit[\u0663]'"),
+        (f"{HEADER}\nqubit[3] a;\nx a[\u0661];\n", "line 3: bad operand 'a[\u0661]'"),
     ],
 )
 def test_parse_errors(text, fragment):
     with pytest.raises(QasmParseError) as exc:
         import_text(text)
     assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("sep", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_line_separators_inside_comments_are_comment_text(sep):
+    text = f"{HEADER}\n// a{sep}x a[0];\nqubit[2] a; // b{sep}x a[1];\ncx a[0], a[1];\n"
+    c = import_text(text)
+    assert c.qubit_count == 2
+    assert c.gates == [cx(0, 1)]
+
+
+_SPELLINGS = {
+    "extra spaces": lambda line: line.replace(" ", "   ").replace(";", "  ;"),
+    "tabs": lambda line: line.replace(" ", "\t"),
+    "no space after comma": lambda line: line.replace(", ", ","),
+    "indented": lambda line: "    " + line,
+    "trailing comment": lambda line: line + " // note",
+    "crlf": lambda line: line + "\r",
+    "blank and comment lines": lambda line: line + "\n\n// between\n",
+}
+
+
+@pytest.mark.parametrize("spelling", sorted(_SPELLINGS))
+def test_non_canonical_spellings_import_alike(spelling):
+    # respell every other line after the header, so that canonical and
+    # respelled forms of the same gate line meet in one file
+    c = _sample()
+    c.append(x(0))
+    c.append(cx(0, 2))
+    c.append(ccx(0, 1, 2))
+    header, *body = export_text(c).split("\n")
+    respell = _SPELLINGS[spelling]
+    lines = [respell(line) if k % 2 and line else line for k, line in enumerate(body)]
+    text = "\n".join([header, *lines])
+    assert text != export_text(c)
+    assert import_text(text) == c
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("cx a[0], a[0];", "line 5: duplicate operands in cx(0, 0)"),
+        ("x a[9];", "line 5: index 9 out of range for register 'a'"),
+        ("x zz[0];", "line 5: undeclared register 'zz'"),
+        ("ccx a[0], a[1];", "line 5: gate 'ccx' takes 3 operands, got 2"),
+    ],
+)
+def test_canonical_looking_bad_lines_keep_their_messages(bad, message):
+    text = f"{HEADER}\nqubit[2] a;\nqubit[1] b;\ncx a[0], a[1];\n{bad}\n"
+    with pytest.raises(QasmParseError) as exc:
+        import_text(text)
+    assert str(exc.value) == message
+    assert exc.value.line_no == 5
 
 
 def test_parse_error_carries_line_number():
