@@ -55,7 +55,11 @@ def floor_log2(v: int | Fraction) -> int:
 
 
 def _row_values(row_id: str, n: int, r: int | None, strict: bool):
-    """Real-valued (TD, TC, QC) for the non-restoring divider of one row."""
+    """Real-valued (TD, TC, QC) for the non-restoring divider of one row.
+
+    Quotients are Fractions: over strict-floor's integer logs a value stays
+    exact, and over real logs it becomes a float that `_ceil` guards.
+    """
 
     def L(v):
         return floor_log2(v) if strict else math.log2(v)
@@ -100,12 +104,12 @@ def _row_values(row_id: str, n: int, r: int | None, strict: bool):
     if row_id == "takahashi_low_ancilla":
         td = 30 * n * L(n + 1) + 3 * n + 1
         tc = 28 * n * n + 31 * n + 1
-        qc = 4 * n + (3 * n + 3) / L(n + 1) + 4
+        qc = 4 * n + Fraction(3 * n + 3) / L(n + 1) + 4
         return (td, tc, qc)
     if row_id == "takahashi_combination":
         td = 18 * n * L(n + 1) + 3 * n + 1
         tc = 7 * n * n + 10 * n + 1
-        qc = 4 * n + (3 * n + 3) / L(n + 1) + 4
+        qc = 4 * n + Fraction(3 * n + 3) / L(n + 1) + 4
         return (td, tc, qc)
     if row_id == "higher_radix":
         if r is None or not 2 < r <= n:
@@ -121,7 +125,7 @@ def _row_values(row_id: str, n: int, r: int | None, strict: bool):
         )
         tc = (
             8 * n * n
-            - n * (n + 1) / r
+            - Fraction(n * (n + 1), r)
             - (n * n) % r
             - 3 * n * W(Fraction(n + 1, r))
             - 3 * n * L(n + 1)
@@ -129,7 +133,7 @@ def _row_values(row_id: str, n: int, r: int | None, strict: bool):
             + 8 * n
             + 1
         )
-        qc = 6 * n - L(n + 1) + (n + 1) / r - W(Fraction(n + 1, r)) + L(r) + 5
+        qc = 6 * n - L(n + 1) + Fraction(n + 1, r) - W(Fraction(n + 1, r)) + L(r) + 5
         return (td, tc, qc)
     if row_id == "ling":
         td = 12 * n + 2 * n * L(Fraction(n + 1, 2)) + 2 * n * L(Fraction(n + 1, 6)) + 1
@@ -161,8 +165,8 @@ ROW_IDS = (
 
 
 def _ceil(v) -> int:
-    # guard against float dust just below an integer
-    return math.ceil(round(v, 9))
+    # a float may carry dust just below an integer; a Fraction is exact
+    return math.ceil(round(v, 9) if isinstance(v, float) else v)
 
 
 def evaluate_row(
@@ -281,21 +285,14 @@ def rounding_audit(n: int, radix: int | None = None) -> dict[str, dict]:
 
 
 def table_to_csv(rows: list[TableRow]) -> str:
-    lines = ["divider,TD,TC,QC,TD_impr,TC_impr,QC_impr"]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    r.divider,
-                    str(r.td),
-                    str(r.tc),
-                    str(r.qc),
-                    "" if r.td_impr is None else str(r.td_impr),
-                    "" if r.tc_impr is None else str(r.tc_impr),
-                    "" if r.qc_impr is None else str(r.qc_impr),
-                ]
-            )
-        )
+    """The rows as CSV: every ``as_dict`` column but the audit flag, which
+    the ``table`` command reports on stderr."""
+    records = table_to_dicts(rows)
+    for record in records:
+        del record["strict_floor_disagrees"]
+    lines = [",".join(records[0])]
+    for record in records:
+        lines.append(",".join("" if v is None else str(v) for v in record.values()))
     return "\n".join(lines) + "\n"
 
 

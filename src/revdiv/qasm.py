@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 import sys
 
-from .circuit import Circuit, Gate, GATE_ARITY
+from .circuit import Circuit, CircuitError, Gate, GATE_ARITY, Register
 
 HEADER = "OPENQASM 3.0;"
 
@@ -53,23 +53,16 @@ def import_text(text: str) -> Circuit:
     r"""Parse OpenQASM-subset text back into a circuit.
 
     Lines end at ``"\n"`` only; a ``"\r"`` before it is dropped with the
-    other surrounding whitespace.  Each gate line takes the first path that
-    applies:
-
-    1. a raw line already parsed in this call appends the same ``Gate``
-       again, so an imported circuit may share one immutable ``Gate``
-       object between positions;
-    2. a canonical line, spelled exactly as :func:`export_text` writes it,
-       maps each ``reg[i]`` token to its wire through a dict that the
-       declarations fill;
-    3. any other line goes through the regex path below.  That
-       path is the only one that raises, so every error message and line
-       number comes from it.
+    other surrounding whitespace.  A raw line already parsed in this call
+    appends the same ``Gate`` again, so gates may be shared between
+    positions.  A line spelled as :func:`export_text` writes it splits at
+    ``", "``; any other line is split once its comment and whitespace are
+    dropped.  Operands resolve through the ``"reg[i]"`` table that the
+    declarations fill; ``_OPERAND_RE`` reads only a token the table lacks.
     """
     circuit = Circuit()
     gates = circuit.gates
-    bases: dict[str, int] = {}
-    sizes: dict[str, int] = {}
+    registers: dict[str, Register] = {}
     wires: dict[str, int] = {}  # "reg[i]" -> wire, for every declared wire
     seen: dict[str, Gate] = {}  # raw gate line -> its Gate
     set_name, set_qubits = Gate.name.__set__, Gate.qubits.__set__
@@ -80,85 +73,88 @@ def import_text(text: str) -> Circuit:
         if gate is not None:
             gates.append(gate)
             continue
+        qubits = None
         name, _, rest = raw.partition(" ")
         if name in GATE_ARITY and rest[-1:] == ";":
             try:
                 qubits = tuple([wires[tok] for tok in rest[:-1].split(", ")])
             except KeyError:
-                qubits = ()
-            # Every token in ``wires`` names an in-range wire, so distinct
-            # wires of the right arity make a valid gate: fill the slots
-            # directly, as Circuit.extend does.  The name is interned so
-            # that imported gates share it, as built gates do.
-            if len(qubits) == GATE_ARITY[name] and len(set(qubits)) == len(qubits):
-                gate = object.__new__(Gate)
-                set_name(gate, sys.intern(name))
-                set_qubits(gate, qubits)
-                gates.append(gate)
-                seen[raw] = gate
+                pass
+        if qubits is None:
+            line = raw.split("//", 1)[0].strip()
+            if not line:
                 continue
+            if line.startswith("OPENQASM"):
+                if line != HEADER:
+                    raise QasmParseError(line_no, f"unsupported version line {line!r}")
+                saw_header = True
+                continue
+            # a line led by the qubit keyword is a declaration or an error
+            if line.split(None, 1)[0].partition("[")[0] == "qubit":
+                m = _DECL_RE.match(line)
+                if not m:
+                    raise QasmParseError(line_no, f"bad declaration {line!r}")
+                if gates:
+                    raise QasmParseError(line_no, "declaration after gate statement")
+                size, name = int(m.group(1)), m.group(2)
+                if name in registers:
+                    raise QasmParseError(line_no, f"register {name!r} redeclared")
+                reg = registers[name] = circuit.new_register(name, size)
+                wires.update({f"{name}[{i}]": q for i, q in enumerate(reg.qubits)})
+                continue
+            if not line.endswith(";"):
+                raise QasmParseError(line_no, f"missing ';' in {line!r}")
+            parts = line[:-1].split(None, 1)
+            if not parts:
+                raise QasmParseError(line_no, "empty statement")
+            name = parts[0]
+            if name not in GATE_ARITY:
+                raise QasmParseError(line_no, f"unknown gate {name!r}")
+            if not registers:
+                raise QasmParseError(line_no, "gate before any register declaration")
+            if len(parts) < 2:
+                raise QasmParseError(line_no, f"gate {name!r} without operands")
+            qubits = tuple([
+                wires[tok] if tok in wires else _wire(line_no, tok, registers)
+                for tok in map(str.strip, parts[1].split(","))
+            ])
 
-        line = raw.split("//", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("OPENQASM"):
-            if line != HEADER:
-                raise QasmParseError(line_no, f"unsupported version line {line!r}")
-            saw_header = True
-            continue
-
-        m = _DECL_RE.match(line)
-        if m:
-            if gates:
-                raise QasmParseError(line_no, "declaration after gate statement")
-            size, name = int(m.group(1)), m.group(2)
-            if name in bases:
-                raise QasmParseError(line_no, f"register {name!r} redeclared")
-            base = bases[name] = circuit.qubit_count
-            sizes[name] = size
-            circuit.new_register(name, size)
-            for i in range(size):
-                wires[f"{name}[{i}]"] = base + i
-            continue
-
-        if not line.endswith(";"):
-            raise QasmParseError(line_no, f"missing ';' in {line!r}")
-        body = line[:-1].strip()
-        parts = body.split(None, 1)
-        name = parts[0]
-        if name not in GATE_ARITY:
-            raise QasmParseError(line_no, f"unknown gate {name!r}")
-        if not bases:
-            raise QasmParseError(line_no, "gate before any register declaration")
-        if len(parts) < 2:
-            raise QasmParseError(line_no, f"gate {name!r} without operands")
-        operands = []
-        for tok in parts[1].split(","):
-            om = _OPERAND_RE.match(tok.strip())
-            if not om:
-                raise QasmParseError(line_no, f"bad operand {tok.strip()!r}")
-            reg, idx = om.group(1), int(om.group(2))
-            if reg not in bases:
-                raise QasmParseError(line_no, f"undeclared register {reg!r}")
-            if idx >= sizes[reg]:
-                raise QasmParseError(
-                    line_no, f"index {idx} out of range for register {reg!r}"
-                )
-            operands.append(bases[reg] + idx)
-        if len(operands) != GATE_ARITY[name]:
+        if len(qubits) != GATE_ARITY[name]:
             raise QasmParseError(
                 line_no,
-                f"gate {name!r} takes {GATE_ARITY[name]} operands, got {len(operands)}",
+                f"gate {name!r} takes {GATE_ARITY[name]} operands, got {len(qubits)}",
             )
-        try:
-            gate = Gate(name, tuple(operands))
-            circuit.append(gate)
-        except ValueError as exc:
-            raise QasmParseError(line_no, str(exc)) from exc
+        if len(set(qubits)) < len(qubits):
+            try:
+                Gate(name, qubits)
+            except CircuitError as exc:
+                raise QasmParseError(line_no, str(exc)) from exc
+        # Resolved operands are in-range wires, and now distinct and of the
+        # right arity, so the slots are filled directly, as Circuit.extend
+        # does.  The name is interned so that imported gates share it, as
+        # built gates do.
+        gate = object.__new__(Gate)
+        set_name(gate, sys.intern(name))
+        set_qubits(gate, qubits)
+        gates.append(gate)
         seen[raw] = gate
 
     if not saw_header:
         raise QasmParseError(1, "missing OPENQASM header")
-    if not bases:
+    if not registers:
         raise QasmParseError(1, "missing register declarations")
     return circuit
+
+
+def _wire(line_no: int, token: str, registers: dict[str, Register]) -> int:
+    """The wire an operand token names, or the error that says why not."""
+    m = _OPERAND_RE.match(token)
+    if not m:
+        raise QasmParseError(line_no, f"bad operand {token!r}")
+    name, idx = m.group(1), int(m.group(2))
+    reg = registers.get(name)
+    if reg is None:
+        raise QasmParseError(line_no, f"undeclared register {name!r}")
+    if idx >= len(reg):
+        raise QasmParseError(line_no, f"index {idx} out of range for register {name!r}")
+    return reg[idx]

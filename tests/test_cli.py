@@ -128,6 +128,29 @@ def test_simulate_parse_error_has_location(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_simulate_numbers_lines_as_the_library_does(tmp_path, capsys):
+    # only "\n" ends a line, so the lone "\r" stays inside the comment
+    bad = tmp_path / "bad.qasm"
+    bad.write_bytes(b"OPENQASM 3.0;\n// a\rb\nqubit[2] a;\ncx a[0], a[0];\n")
+    rc = main(["simulate", "--circuit", str(bad), "--dividend", "0",
+               "--divisor", "1"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: line 4: duplicate operands in cx(0, 0)\n"
+
+
+def test_simulate_crlf_copy(tmp_path, capsys):
+    out = tmp_path / "d3.qasm"
+    main(["build", "--n", "3", "--adder", "vbe", "--kind", "restoring",
+          "--out", str(out)])
+    capsys.readouterr()
+    crlf = tmp_path / "d3-crlf.qasm"
+    crlf.write_bytes(out.read_bytes().replace(b"\n", b"\r\n"))
+    rc = main(["simulate", "--circuit", str(crlf), "--dividend", "7",
+               "--divisor", "3"])
+    assert rc == 0
+    assert capsys.readouterr().out == "q=2 r=1\n"
+
+
 @pytest.mark.parametrize(
     "registers",
     [

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -86,6 +87,32 @@ def test_strict_floor_is_exact_past_float_precision():
     td = evaluate_row("draper_cla", n, rounding=STRICT_FLOOR)[0]
     # L(n) = L(n+1) = 48, L(n/3) = 46, L((n+1)/3) = 47
     assert td == 11 * n + 48 * n + 48 * n + 46 * n + 47 * n + 1
+
+
+def _exact_strict_floor(row, n, r=None):
+    """Reference: one row's strict-floor (TC, QC) from integer logs and
+    Fraction quotients, rounded up once."""
+    lg = lambda v: v.bit_length() - 1  # floor log2 of a positive integer
+    ones = lambda v: bin(v).count("1")
+    if row == "higher_radix":
+        w = ones(-(-(n + 1) // r))
+        tc = (8 * n * n - Fraction(n * (n + 1), r) - (n * n) % r - 3 * n * w
+              - 3 * n * lg(n + 1) + 3 * n * lg(r) + 8 * n + 1)
+        qc = 6 * n - lg(n + 1) + Fraction(n + 1, r) - w + lg(r) + 5
+    else:
+        tc = 7 * n * n + 10 * n + 1
+        qc = 4 * n + Fraction(3 * n + 3, lg(n + 1)) + 4
+    return (math.ceil(tc), math.ceil(qc))
+
+
+@pytest.mark.parametrize(
+    "row, n, r",
+    [("higher_radix", 200_000_001, 3), ("takahashi_combination", 2**60 + 5, None)],
+)
+def test_strict_floor_quotients_are_exact(row, n, r):
+    # a float quotient of these sizes loses the low digits
+    got = evaluate_row(row, n, radix=r, rounding=STRICT_FLOOR)
+    assert got[1:] == _exact_strict_floor(row, n, r)
 
 
 def _largest_k(v: Fraction) -> int:

@@ -66,8 +66,13 @@ def test_import_ignores_comments_and_blanks():
         # only "\n" ends a line, so a form feed inside a comment stays there
         (f"{HEADER}\n// a\x0cb\nqubit[2] a;\ncx a[0], a[0];\n", "line 4: duplicate operands"),
         # digits are ASCII only: ARABIC-INDIC THREE and ONE are not indices
-        (f"{HEADER}\nqubit[\u0663] a;\n", "line 2: unknown gate 'qubit[\u0663]'"),
+        (f"{HEADER}\nqubit[\u0663] a;\n", "line 2: bad declaration 'qubit[\u0663] a;'"),
         (f"{HEADER}\nqubit[3] a;\nx a[\u0661];\n", "line 3: bad operand 'a[\u0661]'"),
+        # a line led by the qubit keyword is a declaration or an error
+        (f"{HEADER}\nqubit[x] a;\n", "line 2: bad declaration 'qubit[x] a;'"),
+        (f"{HEADER}\nqubit a;\n", "line 2: bad declaration 'qubit a;'"),
+        (f"{HEADER}\nqubit[1] a;\n;\n", "line 3: empty statement"),
+        (f"{HEADER}\nqubit[1] a;\n  ;  // c\n", "line 3: empty statement"),
     ],
 )
 def test_parse_errors(text, fragment):
