@@ -31,7 +31,6 @@ from .costs import (
     compose,
     evaluate_row,
     omega,
-    rounding_audit,
 )
 from .divider import (
     KINDS,

@@ -73,17 +73,17 @@ def cmd_simulate(args) -> int:
 
 def cmd_table(args) -> int:
     rows = costs.comparison_table(args.n, rounding=args.rounding)
-    for r in rows:
-        if r.strict_floor_disagrees:
+    for row in rows:
+        if row["strict_floor_disagrees"]:
             print(
-                f"audit: {r.divider}: {costs.CEIL_REAL_LOG} and "
+                f"audit: {row['divider']}: {costs.CEIL_REAL_LOG} and "
                 f"{costs.STRICT_FLOOR} readings disagree",
                 file=sys.stderr,
             )
     if args.format == "csv":
         sys.stdout.write(costs.table_to_csv(rows))
     else:
-        print(json.dumps(costs.table_to_dicts(rows)))
+        print(json.dumps(rows))
     return 0
 
 

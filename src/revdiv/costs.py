@@ -12,11 +12,10 @@ term first.  The two disagree for some rows, so reports can carry both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
-from .divider import KINDS, NON_RESTORING, RESTORING, overhead
+from .divider import NON_RESTORING, RESTORING, check_width_and_kind, overhead
 from .divider import compose  # noqa: F401  (public here as costs.compose)
 
 CEIL_REAL_LOG = "ceil-real-log"
@@ -177,23 +176,23 @@ def evaluate_row(
     rounding: str = CEIL_REAL_LOG,
 ) -> tuple[int, int, int]:
     """Integer (TD, TC, QC) of one row's divider at width n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}")
+    check_width_and_kind(n, kind)
     if rounding not in ROUNDINGS:
         raise ValueError(f"rounding must be one of {ROUNDINGS}")
     if radix is not None and row_id != "higher_radix":
         raise ValueError(f"only higher_radix takes a radix, not {row_id!r}")
-    td, tc, qc = _row_values(row_id, n, radix, strict=(rounding == STRICT_FLOOR))
-    if kind == RESTORING:
-        # each row is a non-restoring divider; swap its overhead for the
-        # restoring one
-        restoring, non_restoring = overhead(n, RESTORING), overhead(n, NON_RESTORING)
-        td, tc, qc = (
-            v + r - s for v, r, s in zip((td, tc, qc), restoring, non_restoring)
-        )
-    return (_ceil(td), _ceil(tc), _ceil(qc))
+    try:
+        td, tc, qc = _row_values(row_id, n, radix, strict=(rounding == STRICT_FLOOR))
+        if kind == RESTORING:
+            # each row is a non-restoring divider; swap its overhead for the
+            # restoring one
+            restoring, non_restoring = overhead(n, RESTORING), overhead(n, NON_RESTORING)
+            td, tc, qc = (
+                v + r - s for v, r, s in zip((td, tc, qc), restoring, non_restoring)
+            )
+        return (_ceil(td), _ceil(tc), _ceil(qc))
+    except OverflowError:
+        raise ValueError(f"{row_id} at n={n} overflows a float under {rounding}") from None
 
 
 def improvement_percent(baseline: int, value: int) -> Decimal:
@@ -202,28 +201,10 @@ def improvement_percent(baseline: int, value: int) -> Decimal:
     return frac.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP)
 
 
-@dataclass
-class TableRow:
-    divider: str
-    td: int
-    tc: int
-    qc: int
-    td_impr: Decimal | None = None
-    tc_impr: Decimal | None = None
-    qc_impr: Decimal | None = None
-    strict_floor_disagrees: bool = False
-
-    def as_dict(self) -> dict:
-        return {
-            "divider": self.divider,
-            "TD": self.td,
-            "TC": self.tc,
-            "QC": self.qc,
-            "TD_impr": None if self.td_impr is None else str(self.td_impr),
-            "TC_impr": None if self.tc_impr is None else str(self.tc_impr),
-            "QC_impr": None if self.qc_impr is None else str(self.qc_impr),
-            "strict_floor_disagrees": self.strict_floor_disagrees,
-        }
+# the columns of a comparison-table line, in printed order
+COLUMNS = (
+    "divider", "TD", "TC", "QC", "TD_impr", "TC_impr", "QC_impr", "strict_floor_disagrees"
+)
 
 
 # the proposed-divider lines of the comparison table
@@ -235,66 +216,31 @@ PROPOSED = (
 )
 
 
-def comparison_table(n: int, rounding: str = CEIL_REAL_LOG) -> list[TableRow]:
-    """Baselines plus the four proposed divider lines; improvement columns
-    are relative to the Newton-Raphson record and exist only at n = 32."""
-    rows: list[TableRow] = []
-    at_baseline_n = n == BASELINE_N
-    ref = BASELINES[REFERENCE_BASELINE]
-    if at_baseline_n:
-        for name, (td, tc, qc) in BASELINES.items():
-            rows.append(TableRow(name, td, tc, qc))
+def comparison_table(n: int, rounding: str = CEIL_REAL_LOG) -> list[dict]:
+    """Baselines plus the four proposed divider lines, each a dict over
+    COLUMNS as ``revdiv table`` prints it.  Improvement columns are relative
+    to the Newton-Raphson record and exist only for proposed lines at n = 32."""
+    ref = BASELINES[REFERENCE_BASELINE] if n == BASELINE_N else None
+    lines = []
+    if ref:
+        for name, values in BASELINES.items():
+            lines.append((name, *values, None, None, None, False))
+    other = STRICT_FLOOR if rounding == CEIL_REAL_LOG else CEIL_REAL_LOG
     for kind, rid in PROPOSED:
-        td, tc, qc = evaluate_row(rid, n, kind=kind, rounding=rounding)
-        alt = evaluate_row(
-            rid,
-            n,
-            kind=kind,
-            rounding=STRICT_FLOOR if rounding == CEIL_REAL_LOG else CEIL_REAL_LOG,
-        )
-        row = TableRow(
-            divider=f"{kind}_{rid}",
-            td=td,
-            tc=tc,
-            qc=qc,
-            strict_floor_disagrees=(td, tc, qc) != alt,
-        )
-        if at_baseline_n:
-            row.td_impr = improvement_percent(ref[0], td)
-            row.tc_impr = improvement_percent(ref[1], tc)
-            row.qc_impr = improvement_percent(ref[2], qc)
-        rows.append(row)
-    return rows
+        values = evaluate_row(rid, n, kind=kind, rounding=rounding)
+        disagrees = values != evaluate_row(rid, n, kind=kind, rounding=other)
+        impr = [None] * 3
+        if ref:
+            impr = [str(improvement_percent(b, v)) for b, v in zip(ref, values)]
+        lines.append((f"{kind}_{rid}", *values, *impr, disagrees))
+    return [dict(zip(COLUMNS, line)) for line in lines]
 
 
-def rounding_audit(n: int, radix: int | None = None) -> dict[str, dict]:
-    """Compare both log conventions for every row; flags disagreements."""
-    out = {}
-    for rid in ROW_IDS:
-        r = radix if rid == "higher_radix" else None
-        if rid == "higher_radix" and (r is None or not 2 < r <= n):
-            continue
-        default = evaluate_row(rid, n, radix=r)
-        strict = evaluate_row(rid, n, radix=r, rounding=STRICT_FLOOR)
-        out[rid] = {
-            "ceil_real_log": default,
-            "strict_floor": strict,
-            "agree": default == strict,
-        }
-    return out
-
-
-def table_to_csv(rows: list[TableRow]) -> str:
-    """The rows as CSV: every ``as_dict`` column but the audit flag, which
-    the ``table`` command reports on stderr."""
-    records = table_to_dicts(rows)
-    for record in records:
-        del record["strict_floor_disagrees"]
-    lines = [",".join(records[0])]
-    for record in records:
-        lines.append(",".join("" if v is None else str(v) for v in record.values()))
+def table_to_csv(rows: list[dict]) -> str:
+    """The rows as CSV: every column but the audit flag, which the ``table``
+    command reports on stderr."""
+    columns = COLUMNS[:-1]
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join("" if row[c] is None else str(row[c]) for c in columns))
     return "\n".join(lines) + "\n"
-
-
-def table_to_dicts(rows: list[TableRow]) -> list[dict]:
-    return [r.as_dict() for r in rows]

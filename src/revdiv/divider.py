@@ -32,6 +32,14 @@ KINDS = (NON_RESTORING, RESTORING)
 EXHAUSTIVE_LIMIT = 10
 
 
+def check_width_and_kind(n: int, kind: str) -> None:
+    """Reject an operand width below 1 or an unknown divider kind."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}")
+
+
 @dataclass(frozen=True)
 class DividerParams:
     n: int
@@ -39,10 +47,7 @@ class DividerParams:
     kind: str = NON_RESTORING
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}")
+        check_width_and_kind(self.n, self.kind)
 
 
 @dataclass
@@ -353,10 +358,7 @@ def overhead(n: int, kind: str) -> tuple[int, int, int]:
 
 def compose(adder_costs: tuple[int, int, int], n: int, kind: str = NON_RESTORING):
     """Divider cost triple from an adder's (TD, TC, ancillas) at width n+1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}")
+    check_width_and_kind(n, kind)
     td_add, tc_add, anc = adder_costs
     td, tc, qc = overhead(n, kind)
     return (n * td_add + td, n * tc_add + tc, qc + anc)

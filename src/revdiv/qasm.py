@@ -14,8 +14,9 @@ from .circuit import Circuit, CircuitError, Gate, GATE_ARITY, Register
 
 HEADER = "OPENQASM 3.0;"
 
-_DECL_RE = re.compile(r"^qubit\[(\d+)\]\s+([A-Za-z_][A-Za-z_0-9]*)\s*;$", re.ASCII)
-_OPERAND_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)\[(\d+)\]$", re.ASCII)
+# sizes and indices have at most 18 digits: int() may refuse a longer one
+_DECL_RE = re.compile(r"^qubit\[(\d{1,18})\]\s+([A-Za-z_][A-Za-z_0-9]*)\s*;$", re.ASCII)
+_OPERAND_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)\[(\d{1,18})\]$", re.ASCII)
 
 
 class QasmExportError(ValueError):
@@ -86,34 +87,34 @@ def import_text(text: str) -> Circuit:
                 continue
             if line.startswith("OPENQASM"):
                 if line != HEADER:
-                    raise QasmParseError(line_no, f"unsupported version line {line!r}")
+                    raise QasmParseError(line_no, f"unsupported version line {_quote(line)}")
                 saw_header = True
                 continue
             # a line led by the qubit keyword is a declaration or an error
             if line.split(None, 1)[0].partition("[")[0] == "qubit":
                 m = _DECL_RE.match(line)
                 if not m:
-                    raise QasmParseError(line_no, f"bad declaration {line!r}")
+                    raise QasmParseError(line_no, f"bad declaration {_quote(line)}")
                 if gates:
                     raise QasmParseError(line_no, "declaration after gate statement")
                 size, name = int(m.group(1)), m.group(2)
                 if name in registers:
-                    raise QasmParseError(line_no, f"register {name!r} redeclared")
+                    raise QasmParseError(line_no, f"register {_quote(name)} redeclared")
                 reg = registers[name] = circuit.new_register(name, size)
                 wires.update({f"{name}[{i}]": q for i, q in enumerate(reg.qubits)})
                 continue
             if not line.endswith(";"):
-                raise QasmParseError(line_no, f"missing ';' in {line!r}")
+                raise QasmParseError(line_no, f"missing ';' in {_quote(line)}")
             parts = line[:-1].split(None, 1)
             if not parts:
                 raise QasmParseError(line_no, "empty statement")
             name = parts[0]
             if name not in GATE_ARITY:
-                raise QasmParseError(line_no, f"unknown gate {name!r}")
+                raise QasmParseError(line_no, f"unknown gate {_quote(name)}")
             if not registers:
                 raise QasmParseError(line_no, "gate before any register declaration")
             if len(parts) < 2:
-                raise QasmParseError(line_no, f"gate {name!r} without operands")
+                raise QasmParseError(line_no, f"gate {_quote(name)} without operands")
             qubits = tuple([
                 wires[tok] if tok in wires else _wire(line_no, tok, registers)
                 for tok in map(str.strip, parts[1].split(","))
@@ -122,7 +123,7 @@ def import_text(text: str) -> Circuit:
         if len(qubits) != GATE_ARITY[name]:
             raise QasmParseError(
                 line_no,
-                f"gate {name!r} takes {GATE_ARITY[name]} operands, got {len(qubits)}",
+                f"gate {_quote(name)} takes {GATE_ARITY[name]} operands, got {len(qubits)}",
             )
         if len(set(qubits)) < len(qubits):
             try:
@@ -146,15 +147,20 @@ def import_text(text: str) -> Circuit:
     return circuit
 
 
+def _quote(text: str) -> str:
+    """An error message's quote of input text: its first 80 characters."""
+    return repr(text[:80]) + ("..." if len(text) > 80 else "")
+
+
 def _wire(line_no: int, token: str, registers: dict[str, Register]) -> int:
     """The wire an operand token names, or the error that says why not."""
     m = _OPERAND_RE.match(token)
     if not m:
-        raise QasmParseError(line_no, f"bad operand {token!r}")
+        raise QasmParseError(line_no, f"bad operand {_quote(token)}")
     name, idx = m.group(1), int(m.group(2))
     reg = registers.get(name)
     if reg is None:
-        raise QasmParseError(line_no, f"undeclared register {name!r}")
+        raise QasmParseError(line_no, f"undeclared register {_quote(name)}")
     if idx >= len(reg):
-        raise QasmParseError(line_no, f"index {idx} out of range for register {name!r}")
+        raise QasmParseError(line_no, f"index {idx} out of range for register {_quote(name)}")
     return reg[idx]

@@ -89,12 +89,12 @@ def test_criterion_4_published_table():
         10496,
         151,
     )
-    rows = {r.divider: r for r in comparison_table(32)}
-    ok = ok and str(rows["non_restoring_ling"].td_impr) == "94.06"
-    ok = ok and str(rows["non_restoring_takahashi_combination"].tc_impr) == "91.98"
-    ok = ok and str(rows["non_restoring_takahashi_combination"].qc_impr) == "99.37"
+    rows = {r["divider"]: r for r in comparison_table(32)}
+    ok = ok and str(rows["non_restoring_ling"]["TD_impr"]) == "94.06"
+    ok = ok and str(rows["non_restoring_takahashi_combination"]["TC_impr"]) == "91.98"
+    ok = ok and str(rows["non_restoring_takahashi_combination"]["QC_impr"]) == "99.37"
     # strict-floor disagreement is surfaced for the audited rows
-    ok = ok and rows["non_restoring_ling"].strict_floor_disagrees
+    ok = ok and rows["non_restoring_ling"]["strict_floor_disagrees"]
     ok = ok and evaluate_row("ling", 32, rounding=STRICT_FLOOR)[0] == 769
     assert _report(4, "32-bit comparison table reproduction", ok)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -199,3 +200,31 @@ def test_table_json(capsys):
     by_name = {r["divider"]: r for r in rows}
     assert by_name["non_restoring_takahashi_combination"]["TC_impr"] == "91.98"
     assert by_name["newton_raphson"]["TD"] == 13506
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["estimate", "--row", "ling"], ["estimate", "--row", "draper_cla"], ["table"]],
+)
+def test_float_overflow_is_an_error_line(capsys, argv):
+    n = 10**200
+    assert main([*argv, "--n", str(n)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    row = argv[-1] if argv[0] == "estimate" else "ling"
+    assert captured.err == f"error: {row} at n={n} overflows a float under ceil-real-log\n"
+
+
+# SHA-256 of every `table` exit code, stdout and stderr below, in loop order
+TABLE_SHA256 = "5575c4a3e188624e1183bd0dfddb379a5eac637c16f6f5113802871ad71663a2"
+
+
+def test_table_bytes_are_pinned(capsys):
+    digest = hashlib.sha256()
+    for n in (1, 2, 3, 4, 8, 16, 31, 32, 33, 64, 128):
+        for rounding in ("ceil-real-log", "strict-floor"):
+            for fmt in ("csv", "json"):
+                rc = main(["table", "--n", str(n), "--format", fmt, "--rounding", rounding])
+                out, err = capsys.readouterr()
+                digest.update(f"{rc}|{out}|{err}".encode())
+    assert digest.hexdigest() == TABLE_SHA256

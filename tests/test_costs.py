@@ -8,6 +8,7 @@ from revdiv.circuit import measure
 from revdiv.costs import (
     BASELINES,
     CEIL_REAL_LOG,
+    ROUNDINGS,
     ROW_IDS,
     STRICT_FLOOR,
     comparison_table,
@@ -16,7 +17,6 @@ from revdiv.costs import (
     floor_log2,
     improvement_percent,
     omega,
-    rounding_audit,
     table_to_csv,
 )
 from revdiv.divider import KINDS, NON_RESTORING, RESTORING
@@ -76,9 +76,9 @@ def test_published_32bit_values():
 
 def test_strict_floor_mode_diverges_for_ling():
     assert evaluate_row("ling", 32, rounding=STRICT_FLOOR)[0] == 769
-    audit = rounding_audit(32, radix=3)
-    assert not audit["ling"]["agree"]
-    assert audit["cuccaro"]["agree"]  # pure polynomial, no logs
+    assert evaluate_row("ling", 32) != evaluate_row("ling", 32, rounding=STRICT_FLOOR)
+    # pure polynomial, no logs
+    assert evaluate_row("cuccaro", 32) == evaluate_row("cuccaro", 32, rounding=STRICT_FLOOR)
 
 
 def test_strict_floor_is_exact_past_float_precision():
@@ -113,6 +113,27 @@ def test_strict_floor_quotients_are_exact(row, n, r):
     # a float quotient of these sizes loses the low digits
     got = evaluate_row(row, n, radix=r, rounding=STRICT_FLOOR)
     assert got[1:] == _exact_strict_floor(row, n, r)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("row, r", [("ling", None), ("draper_cla", None), ("higher_radix", 3)])
+def test_float_overflow_is_a_value_error(row, r, kind):
+    n = 10**200
+    message = f"{row} at n={n} overflows a float under {CEIL_REAL_LOG}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        evaluate_row(row, n, radix=r, kind=kind)
+    # strict-floor logs are integers, so the same width still answers
+    got = evaluate_row(row, n, radix=r, kind=kind, rounding=STRICT_FLOOR)
+    assert all(type(v) is int and v > 0 for v in got)
+    if row == "higher_radix" and kind == NON_RESTORING:
+        assert got[1:] == _exact_strict_floor(row, n, r)
+
+
+def test_polynomial_rows_are_exact_past_float_range():
+    n = 10**200
+    k = 2 * n * n + 4 * n + 1
+    for rounding in ROUNDINGS:
+        assert evaluate_row("cuccaro", n, rounding=rounding) == (k, k, 4 * n + 6)
 
 
 def _largest_k(v: Fraction) -> int:
@@ -199,18 +220,18 @@ def test_baseline_records():
 
 
 def test_comparison_table_at_32():
-    rows = {r.divider: r for r in comparison_table(32)}
-    assert str(rows["non_restoring_ling"].td_impr) == "94.06"
-    assert str(rows["non_restoring_takahashi_combination"].tc_impr) == "91.98"
-    assert str(rows["non_restoring_takahashi_combination"].qc_impr) == "99.37"
-    assert rows["restoring_takahashi_combination"].td == 6010
-    assert rows["goldschmidt"].td_impr is None
+    rows = {r["divider"]: r for r in comparison_table(32)}
+    assert str(rows["non_restoring_ling"]["TD_impr"]) == "94.06"
+    assert str(rows["non_restoring_takahashi_combination"]["TC_impr"]) == "91.98"
+    assert str(rows["non_restoring_takahashi_combination"]["QC_impr"]) == "99.37"
+    assert rows["restoring_takahashi_combination"]["TD"] == 6010
+    assert rows["goldschmidt"]["TD_impr"] is None
 
 
 def test_comparison_table_suppresses_percentages_off_baseline():
     rows = comparison_table(16)
-    assert all(r.td_impr is None for r in rows)
-    assert all("goldschmidt" != r.divider for r in rows)
+    assert all(r["TD_impr"] is None for r in rows)
+    assert all("goldschmidt" != r["divider"] for r in rows)
 
 
 def test_csv_shape():

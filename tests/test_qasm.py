@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from revdiv.circuit import Circuit, Gate, Register, ccx, cx, x
+from revdiv.divider import RESTORING, build_divider, make_params
 from revdiv.qasm import (
     HEADER,
     QasmExportError,
@@ -131,6 +132,49 @@ def test_canonical_looking_bad_lines_keep_their_messages(bad, message):
         import_text(text)
     assert str(exc.value) == message
     assert exc.value.line_no == 5
+
+
+_LONG = "b" * 100_000
+
+
+@pytest.mark.parametrize(
+    "body, line_no, quoted",
+    [
+        (f"cx a[0], {_LONG};", 3, "bad operand 'bbb"),
+        (f"cx a[0], {_LONG}[0];", 3, "undeclared register 'bbb"),
+        (f"cx a[0], a[{'1' * 100_000}];", 3, "bad operand 'a[111"),
+        (f"{_LONG} a[0];", 3, "unknown gate 'bbb"),
+        (f"cx a[0], a[1] {_LONG}", 3, "missing ';' in 'cx a[0], a[1] bbb"),
+        (f"qubit[1] {_LONG}", 3, "bad declaration 'qubit[1] bbb"),
+        (f"qubit[{'1' * 100_000}] c;", 3, "bad declaration 'qubit[111"),
+    ],
+    ids=["operand", "register", "index", "gate", "no_semicolon", "declaration", "size"],
+)
+def test_long_input_is_clipped_in_errors(body, line_no, quoted):
+    with pytest.raises(QasmParseError) as exc:
+        import_text(f"{HEADER}\nqubit[2] a;\n{body}\n")
+    message = str(exc.value)
+    assert exc.value.line_no == line_no
+    assert message.startswith(f"line {line_no}: {quoted}")
+    assert message.endswith("'...") and len(message) < 200
+
+
+def test_cr_only_export_error_is_clipped():
+    # "\r" ends no line, so a CR-only copy of an export is one long line
+    circuit, _ = build_divider(make_params(16, "vbe", RESTORING))
+    text = export_text(circuit).replace("\n", "\r")
+    with pytest.raises(QasmParseError) as exc:
+        import_text(text)
+    message = str(exc.value)
+    assert message.startswith("line 1: unsupported version line 'OPENQASM 3.0;\\r")
+    assert message.endswith("'...") and len(message) < 200
+
+
+def test_quotes_up_to_80_characters_are_whole():
+    for size, tail in ((80, "'"), (81, "'...")):
+        with pytest.raises(QasmParseError) as exc:
+            import_text(f"{HEADER}\nqubit[1] a;\n{'h' * size} a[0];\n")
+        assert str(exc.value) == f"line 3: unknown gate '{'h' * 80}{tail}"
 
 
 def test_parse_error_carries_line_number():
