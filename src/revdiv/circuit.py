@@ -40,14 +40,6 @@ class Gate:
         if any(q < 0 for q in self.qubits):
             raise CircuitError(f"negative qubit index in {self.name}{self.qubits}")
 
-    @property
-    def target(self) -> int:
-        return self.qubits[-1]
-
-    @property
-    def controls(self) -> tuple[int, ...]:
-        return self.qubits[:-1]
-
 
 def x(target: int) -> Gate:
     return Gate("x", (target,))

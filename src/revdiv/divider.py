@@ -64,50 +64,55 @@ class DividerLayout:
     restore_control: int | None  # conditional-adder control (non-restoring)
 
 
-def build_divider(params: DividerParams) -> tuple[Circuit, DividerLayout]:
-    if params.kind == NON_RESTORING:
-        c = _build_nonrestoring(params)
-    elif params.n == 1:
-        c = _build_restoring_width1(params)
+def layout_from_circuit(circuit: Circuit) -> DividerLayout:
+    """Wire roles of a divider circuit, from its register names and sizes.
+
+    This is the one source of every layout: :func:`build_divider` calls it
+    on its registers before placing a gate and takes every window and
+    carry-out wire from it, and it reads an imported circuit the same way."""
+    names = {r.name: r for r in circuit.registers}
+    if "rq" not in names or "d" not in names:
+        raise ValueError("not a divider circuit: missing rq/d registers")
+    rq = names["rq"].qubits
+    d = names["d"].qubits
+    n = len(rq) // 2
+    if n < 1 or len(rq) != 2 * n or len(d) != n + 1:
+        raise ValueError("not a divider circuit: bad register sizes")
+
+    if "s" in names:
+        kind, flag, q_size = NON_RESTORING, "s", n
+    elif "z" in names:
+        kind, flag, q_size = RESTORING, "z", n - 1
     else:
-        c = _build_restoring(params)
-    return c, layout_from_circuit(c)
+        raise ValueError("not a divider circuit: missing s/z register")
+    q = names["q"].qubits if "q" in names else ()
+    for name, reg, size in ((flag, names[flag].qubits, 1), ("q", q, q_size)):
+        if len(reg) != size:
+            raise ValueError(
+                f"not a divider circuit: n={n} needs {size} wire(s) in "
+                f"register {name!r}, found {len(reg)}"
+            )
+
+    if kind == NON_RESTORING:
+        quotient = list(q)
+    else:
+        slots = _restoring_cout_slots(rq, q, n) if n > 1 else [names["z"][0]]
+        quotient = list(reversed(slots))
+
+    return DividerLayout(
+        n=n,
+        kind=kind,
+        dividend_qubits=[rq[k] for k in range(n)],
+        divisor_qubits=[d[k] for k in range(n)],
+        iteration_windows=[_window(rq, n, i) for i in range(1, n + 1)],
+        quotient_positions=quotient,
+        remainder_positions=[rq[k] for k in range(n)],
+        restore_control=names["s"][0] if "s" in names else None,
+    )
 
 
 def _window(rq, n: int, i: int) -> list[int]:
     return [rq[k] for k in range(n - i, 2 * n - i + 1)]
-
-
-def _build_nonrestoring(params: DividerParams) -> Circuit:
-    n, adder = params.n, params.adder
-    m = n + 1
-    sub = wrap_subtractor(adder, m)
-
-    c = Circuit()
-    rq = c.new_register("rq", 2 * n).qubits
-    d = c.new_register("d", m).qubits
-    q = c.new_register("q", n).qubits  # q[n-i] holds quotient bit i
-    s = c.new_register("s", 1)[0]
-    anc = c.new_register("anc", len(sub.ancillas)).qubits if sub.ancillas else ()
-
-    # Step 1: plain subtractor.  Its carry-in wire comes back to 0 and is
-    # recycled: for n >= 2 it is iteration 2's carry-out slot, for n = 1 the
-    # conditional-adder control.
-    cin1 = q[n - 2] if n >= 2 else s
-    sub.place(c, d, _window(rq, n, 1), cin1, q[n - 1], anc)
-
-    # Step 2: controlled adder-subtractors; previous quotient bit is both
-    # control and carry-in.
-    addsub = wrap_add_sub(adder, m) if n >= 2 else None
-    for i in range(2, n + 1):
-        addsub.place(c, d, _window(rq, n, i), q[n - i + 1], q[n - i], anc)
-
-    # Step 3: copy the final sign onto the control wire and conditionally
-    # add the divisor back.
-    c.append(cx(q[0], s))
-    c.append(x(s))
-    build_cond_add(m).place(c, d, _window(rq, n, n), s)
-    return c
 
 
 def _restoring_cout_slots(rq, q, n: int) -> list[int]:
@@ -124,32 +129,65 @@ def _restoring_cout_slots(rq, q, n: int) -> list[int]:
     return slots
 
 
-def _build_restoring(params: DividerParams) -> Circuit:
-    n, adder = params.n, params.adder
+def build_divider(params: DividerParams) -> tuple[Circuit, DividerLayout]:
+    """The divider circuit and its layout; iteration i works on window i and
+    writes its carry-out, the quotient bit, to wire ``quotient_positions[n-i]``."""
+    n, adder, kind = params.n, params.adder, params.kind
     m = n + 1
     sub = wrap_subtractor(adder, m)
 
+    # allocation order is wire order: the non-restoring control s follows
+    # the quotient register, the restoring carry-in z precedes it, and a
+    # restoring quotient register holds n-1 wires because iteration 2's
+    # carry-out recycles the top of window 1
+    if kind == NON_RESTORING:
+        sizes = (("rq", 2 * n), ("d", m), ("q", n), ("s", 1))
+    else:
+        sizes = (("rq", 2 * n), ("d", m), ("z", 1), ("q", n - 1))
     c = Circuit()
-    rq = c.new_register("rq", 2 * n).qubits
-    d = c.new_register("d", m).qubits
-    z = c.new_register("z", 1)[0]
-    q = c.new_register("q", n - 1).qubits
-    anc = c.new_register("anc", len(sub.ancillas)).qubits if sub.ancillas else ()
-
-    couts = _restoring_cout_slots(rq, q, n)
+    regs = {
+        name: c.new_register(name, size)
+        for name, size in (*sizes, ("anc", len(sub.ancillas)))
+        if size
+    }
+    d = regs["d"].qubits
+    anc = regs["anc"].qubits if "anc" in regs else ()
+    layout = layout_from_circuit(c)
+    windows = layout.iteration_windows
+    couts = layout.quotient_positions[::-1]  # carry-out of iteration i at i-1
     cond = build_cond_add(m)
-    for i in range(1, n + 1):
-        w = _window(rq, n, i)
-        cw = couts[i - 1]
-        sub.place(c, d, w, z, cw, anc)
-        c.append(x(cw))  # carry-out -> sign
-        cond.place(c, d, w, cw)
-        c.append(x(cw))  # sign -> quotient bit
-    return c
+
+    if kind == NON_RESTORING:
+        # Step 1: plain subtractor.  Its carry-in wire comes back to 0 and is
+        # recycled: for n >= 2 it is iteration 2's carry-out slot, for n = 1
+        # the conditional-adder control.
+        s = layout.restore_control
+        sub.place(c, d, windows[0], couts[1] if n >= 2 else s, couts[0], anc)
+        # Step 2: controlled adder-subtractors; the previous quotient bit is
+        # both control and carry-in.
+        addsub = wrap_add_sub(adder, m) if n >= 2 else None
+        for i in range(1, n):
+            addsub.place(c, d, windows[i], couts[i - 1], couts[i], anc)
+        # Step 3: copy the final sign onto the control wire and conditionally
+        # add the divisor back.
+        c.append(cx(couts[-1], s))
+        c.append(x(s))
+        cond.place(c, d, windows[-1], s)
+    else:
+        z = regs["z"][0]
+        for w, cw in zip(windows, couts):
+            if n == 1:
+                _restoring_sign_width1(c, d, w, cw)
+            else:
+                sub.place(c, d, w, z, cw, anc)
+                c.append(x(cw))  # carry-out -> sign
+            cond.place(c, d, w, cw)
+            c.append(x(cw))  # sign -> quotient bit
+    return c, layout
 
 
-def _build_restoring_width1(params: DividerParams) -> Circuit:
-    """Restoring divider at n=1 inside the 4n+1 wire budget.
+def _restoring_sign_width1(c: Circuit, d, w: list[int], z: int) -> None:
+    """The sign of w - d at n=1, on ``z``, inside the 4n+1 wire budget.
 
     The only subtraction starts from a window whose top wire is a known 0,
     so b-a is computed as ~(~b + a) with the ripple carry folded into that
@@ -157,25 +195,13 @@ def _build_restoring_width1(params: DividerParams) -> Circuit:
     control and ends up holding the quotient bit.  The adder's ancillas at
     width 2 are still reserved so the qubit budget matches the closed form.
     """
-    n_anc = len(params.adder.build(2).ancillas)
-
-    c = Circuit()
-    rq = c.new_register("rq", 2).qubits
-    d = c.new_register("d", 2).qubits
-    z = c.new_register("z", 1)[0]
-    if n_anc:
-        c.new_register("anc", n_anc)
-
-    c.append(x(rq[0]))
-    c.append(x(rq[1]))
-    c.append(ccx(d[0], rq[0], rq[1]))
-    c.append(cx(d[0], rq[0]))
-    c.append(x(rq[0]))
-    c.append(x(rq[1]))
-    c.append(cx(rq[1], z))  # z <- sign
-    build_cond_add(2).place(c, d, rq, z)
-    c.append(x(z))  # z <- quotient bit
-    return c
+    c.append(x(w[0]))
+    c.append(x(w[1]))
+    c.append(ccx(d[0], w[0], w[1]))
+    c.append(cx(d[0], w[0]))
+    c.append(x(w[0]))
+    c.append(x(w[1]))
+    c.append(cx(w[1], z))  # z <- sign
 
 
 def _ripple_add(x: list[int], y: list[int], carry: int) -> tuple[list[int], int]:
@@ -294,15 +320,14 @@ def verify_exhaustive(
     """Simulate every (dividend, divisor>=1) pair and check quotient,
     remainder, divisor restoration and all ancilla terminal values.
 
-    All divisions run at once, one per lane: lane k = (b-1)*2^n + a.
+    All divisions run at once, one per lane.
     """
     n = params.n
     if n > limit:
         raise ValueError(f"n={n} exceeds exhaustive limit {limit}")
     circuit, layout = build_divider(params)
     # lane index b*2^n + a over every b, then the b=0 lanes are shifted out
-    per_divisor = 1 << n
-    index = [_index_plane(j, 2 * n) >> per_divisor for j in range(2 * n)]
+    index = [_index_plane(j, 2 * n) >> (1 << n) for j in range(2 * n)]
     a, b = index[:n], index[n:]
     lanes = ((1 << n) - 1) << n
     ones = (1 << lanes) - 1
@@ -330,7 +355,10 @@ def verify_exhaustive(
     report = VerificationReport(total=lanes, passed=lanes - bad.bit_count())
     if bad:
         k = (bad & -bad).bit_length() - 1
-        dividend, divisor = k % per_divisor, (k >> n) + 1
+        # the failing lane's division, read from its input planes
+        inputs = [(p >> k) & 1 for p in index]
+        dividend = decode_register(inputs, range(n))
+        divisor = decode_register(inputs, range(n, 2 * n))
         if (qr_bad >> k) & 1:
             lane = [(p >> k) & 1 for p in out]
             quotient = decode_register(lane, layout.quotient_positions)
@@ -374,52 +402,6 @@ def crosscheck_counts(
     rep = measure(frag.circuit)
     adder_costs = (rep.toffoli_depth, rep.toffoli_count, len(frag.ancillas))
     return measure(circuit), compose(adder_costs, params.n, params.kind)
-
-
-def layout_from_circuit(circuit: Circuit) -> DividerLayout:
-    """Wire roles of a divider circuit, from its register names and sizes.
-
-    This is the one source of every layout: :func:`build_divider` calls it
-    on a fresh build, and it reads an imported circuit the same way."""
-    names = {r.name: r for r in circuit.registers}
-    if "rq" not in names or "d" not in names:
-        raise ValueError("not a divider circuit: missing rq/d registers")
-    rq = names["rq"].qubits
-    d = names["d"].qubits
-    n = len(rq) // 2
-    if n < 1 or len(rq) != 2 * n or len(d) != n + 1:
-        raise ValueError("not a divider circuit: bad register sizes")
-
-    if "s" in names:
-        kind, flag, q_size = NON_RESTORING, "s", n
-    elif "z" in names:
-        kind, flag, q_size = RESTORING, "z", n - 1
-    else:
-        raise ValueError("not a divider circuit: missing s/z register")
-    q = names["q"].qubits if "q" in names else ()
-    for name, reg, size in ((flag, names[flag].qubits, 1), ("q", q, q_size)):
-        if len(reg) != size:
-            raise ValueError(
-                f"not a divider circuit: n={n} needs {size} wire(s) in "
-                f"register {name!r}, found {len(reg)}"
-            )
-
-    if kind == NON_RESTORING:
-        quotient = list(q)
-    else:
-        slots = _restoring_cout_slots(rq, q, n) if n > 1 else [names["z"][0]]
-        quotient = list(reversed(slots))
-
-    return DividerLayout(
-        n=n,
-        kind=kind,
-        dividend_qubits=[rq[k] for k in range(n)],
-        divisor_qubits=[d[k] for k in range(n)],
-        iteration_windows=[_window(rq, n, i) for i in range(1, n + 1)],
-        quotient_positions=quotient,
-        remainder_positions=[rq[k] for k in range(n)],
-        restore_control=names["s"][0] if "s" in names else None,
-    )
 
 
 def make_params(n: int, adder_name: str, kind: str) -> DividerParams:

@@ -31,10 +31,16 @@ class QasmParseError(ValueError):
 
 def export_text(circuit: Circuit) -> str:
     """Render a circuit as OpenQASM-subset text (UTF-8, LF line endings)."""
-    regs = sorted(circuit.registers, key=lambda r: r.qubits[0] if r.qubits else 0)
+    # registers in wire order; an empty one keeps its place after the
+    # register listed before it
+    order, start = [], 0
+    for i, r in enumerate(circuit.registers):
+        start = r.qubits[0] if r.qubits else start
+        order.append((start, i))
+    regs = [circuit.registers[i] for _, i in sorted(order)]
     covered: list[int] = []
     for r in regs:
-        if list(r.qubits) != list(range(r.qubits[0], r.qubits[0] + len(r.qubits))):
+        if r.qubits and list(r.qubits) != list(range(r.qubits[0], r.qubits[0] + len(r))):
             raise QasmExportError(f"register {r.name!r} is not contiguous")
         covered.extend(r.qubits)
     if covered != list(range(circuit.qubit_count)):

@@ -26,9 +26,6 @@ def test_gate_validation():
         Gate("ccx", (0, 0, 1))
     with pytest.raises(CircuitError):
         Gate("x", (-1,))
-    g = ccx(0, 1, 2)
-    assert g.controls == (0, 1)
-    assert g.target == 2
 
 
 def test_gate_is_slotted_and_frozen():

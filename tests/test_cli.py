@@ -215,6 +215,26 @@ def test_float_overflow_is_an_error_line(capsys, argv):
     assert captured.err == f"error: {row} at n={n} overflows a float under ceil-real-log\n"
 
 
+def test_strict_floor_table_past_float_range(capsys):
+    # the ceil-real-log reading overflows at this n, so each proposed line
+    # is audited as disagreeing, and the strict-floor values are printed
+    n = str(10**200)
+    assert main(["table", "--n", n, "--format", "json", "--rounding", "strict-floor"]) == 0
+    out, err = capsys.readouterr()
+    rows = {r["divider"]: r for r in json.loads(out)}
+    assert all(r["strict_floor_disagrees"] for r in rows.values())
+    assert len(err.splitlines()) == len(rows) == 4
+    for flag, kind in (("nonrestoring", "non_restoring"), ("restoring", "restoring")):
+        for rid in ("takahashi_combination", "ling"):
+            argv = ["estimate", "--n", n, "--row", rid, "--kind", flag]
+            assert main([*argv, "--rounding", "strict-floor"]) == 0
+            est = json.loads(capsys.readouterr().out)
+            row = rows[f"{kind}_{rid}"]
+            assert (row["TD"], row["TC"], row["QC"]) == (
+                est["toffoli_depth"], est["toffoli_count"], est["qubit_count"]
+            )
+
+
 # SHA-256 of every `table` exit code, stdout and stderr below, in loop order
 TABLE_SHA256 = "5575c4a3e188624e1183bd0dfddb379a5eac637c16f6f5113802871ad71663a2"
 

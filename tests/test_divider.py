@@ -122,7 +122,7 @@ def test_terminal_state_fully_predicted(kind, adder, n):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 32])
+@pytest.mark.parametrize("n", [*range(1, 17), 32])
 def test_layout_survives_qasm_round_trip(kind, n):
     for adder in ADDER_NAMES:
         c, layout = build_divider(make_params(n, adder, kind))

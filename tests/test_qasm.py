@@ -185,6 +185,23 @@ def test_parse_error_carries_line_number():
     assert "line 3" in str(exc.value)
 
 
+@pytest.mark.parametrize("empty", [0, 1, 2])
+def test_empty_register_round_trips(empty):
+    c = Circuit()
+    for i, size in enumerate([2, 1][:empty] + [0] + [2, 1][empty:]):
+        c.new_register(f"r{i}", size)
+    c.append(x(0))
+    c.append(ccx(0, 1, 2))
+    text = export_text(c)
+    assert text.split("\n")[1 + empty] == f"qubit[0] r{empty};"
+    assert import_text(text) == c
+
+
+def test_imported_empty_register_exports_in_place():
+    text = f"{HEADER}\nqubit[1] a;\nqubit[0] e;\nqubit[1] b;\ncx a[0], b[0];\n"
+    assert export_text(import_text(text)) == text
+
+
 def test_export_rejects_gapped_registers():
     c = Circuit(qubit_count=3, registers=[Register("a", (0, 2))])
     with pytest.raises(QasmExportError):

@@ -63,8 +63,8 @@ def _reference(c, bits):
     """Gate-by-gate evaluation of one basis state, independent of the kernel."""
     s = list(bits)
     for g in c.gates:
-        if all(s[q] for q in g.controls):
-            s[g.target] ^= 1
+        if all(s[q] for q in g.qubits[:-1]):
+            s[g.qubits[-1]] ^= 1
     return s
 
 
