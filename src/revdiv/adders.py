@@ -8,8 +8,8 @@ internal ancillas come back to their input values.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Callable
 
 from .circuit import Circuit, CircuitError, ccx, cx, x
 

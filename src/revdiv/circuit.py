@@ -87,7 +87,7 @@ class Circuit:
         return reg
 
     def append(self, gate: Gate) -> "Circuit":
-        if any(q >= self.qubit_count for q in gate.qubits):
+        if max(gate.qubits) >= self.qubit_count:
             raise CircuitError(
                 f"gate {gate.name}{gate.qubits} out of range for "
                 f"{self.qubit_count}-qubit circuit"
@@ -98,8 +98,9 @@ class Circuit:
     def extend(self, fragment: "Circuit", mapping: list[int] | tuple[int, ...]) -> "Circuit":
         """Append every gate of ``fragment``, remapped through ``mapping``.
 
-        ``mapping[k]`` is the host wire for fragment wire ``k``.  The fragment
-        is left untouched.
+        ``mapping[k]`` is the host wire for fragment wire ``k``.  Equal gates
+        of the fragment append one shared copy.  The fragment is left
+        untouched.
         """
         if len(mapping) != fragment.qubit_count:
             raise CircuitError(
@@ -112,12 +113,19 @@ class Circuit:
             raise CircuitError("mapping entry out of range for host circuit")
         # An injective, in-range map sends a valid gate to a valid gate, so
         # the copies skip Gate.__post_init__ and fill the slots directly.
+        # It also sends equal gates, and only those, to equal copies, which
+        # share one Gate: an adder uncomputes its carries with the gates that
+        # computed them.
+        made: dict[str, dict[tuple[int, ...], Gate]] = {name: {} for name in GATE_ARITY}
         set_name, set_qubits = Gate.name.__set__, Gate.qubits.__set__
         append = self.gates.append
         for g in fragment.gates:
-            copy = object.__new__(Gate)
-            set_name(copy, g.name)
-            set_qubits(copy, tuple([mapping[q] for q in g.qubits]))
+            by_qubits = made[g.name]
+            copy = by_qubits.get(g.qubits)
+            if copy is None:
+                copy = by_qubits[g.qubits] = object.__new__(Gate)
+                set_name(copy, g.name)
+                set_qubits(copy, tuple([mapping[q] for q in g.qubits]))
             append(copy)
         return self
 

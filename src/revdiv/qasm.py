@@ -2,8 +2,10 @@
 
 The subset: one ``qubit[k] name;`` declaration per register (declarations
 must tile the wire range contiguously, in index order), then ``x``, ``cx``
-and ``ccx`` statements in sequence order.  Export is deterministic; import
-of exported text reproduces the circuit structurally.
+and ``ccx`` statements in sequence order.  Export is deterministic and
+declares the registers in wire order.  Importing exported text gives back
+the same gates and wire count, with the registers in wire order; it equals
+the exported circuit when that listed its registers in wire order.
 """
 from __future__ import annotations
 
@@ -30,7 +32,11 @@ class QasmParseError(ValueError):
 
 
 def export_text(circuit: Circuit) -> str:
-    """Render a circuit as OpenQASM-subset text (UTF-8, LF line endings)."""
+    """Render a circuit as OpenQASM-subset text (UTF-8, LF line endings).
+
+    Equal gates, whether one shared ``Gate`` or not, render to one line
+    that is made once.
+    """
     # registers in wire order; an empty one keeps its place after the
     # register listed before it
     order, start = [], 0
@@ -51,8 +57,14 @@ def export_text(circuit: Circuit) -> str:
     lines = [HEADER]
     for r in regs:
         lines.append(f"qubit[{len(r.qubits)}] {r.name};")
+    made: dict[str, dict[tuple[int, ...], str]] = {name: {} for name in GATE_ARITY}
+    append = lines.append
     for g in circuit.gates:
-        lines.append(f"{g.name} {', '.join([refs[q] for q in g.qubits])};")
+        by_qubits = made[g.name]
+        line = by_qubits.get(g.qubits)
+        if line is None:
+            line = by_qubits[g.qubits] = f"{g.name} {', '.join([refs[q] for q in g.qubits])};"
+        append(line)
     return "\n".join(lines) + "\n"
 
 

@@ -55,6 +55,15 @@ def test_extend_copies_equal_validated_gates(kind, adder):
             assert max(g.qubits) < c.qubit_count
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("adder", sorted(ADDERS))
+def test_built_dividers_share_equal_gates(kind, adder):
+    # each adder uncomputes its carries with the gates that computed them,
+    # and one placement shares those equal gates
+    c, _ = build_divider(make_params(32, adder, kind))
+    assert len({id(g) for g in c.gates}) <= 0.65 * len(c.gates)
+
+
 def test_register_allocation_contiguous():
     c = Circuit()
     a = c.new_register("a", 3)
@@ -79,11 +88,18 @@ def test_extend_remaps_and_copies():
     frag = Circuit()
     frag.new_register("a", 2)
     frag.append(cx(0, 1))
+    frag.append(cx(1, 0))
+    frag.append(cx(0, 1))  # equal to the first gate, a distinct object
+    before = list(frag.gates)
     host = Circuit()
     host.new_register("w", 4)
     host.extend(frag, [3, 1])
-    assert host.gates == [cx(3, 1)]
-    assert frag.gates == [cx(0, 1)]
+    assert host.gates == [cx(3, 1), cx(1, 3), cx(3, 1)]
+    # the two equal copies are one Gate, the unequal one another
+    assert host.gates[0] is host.gates[2]
+    assert host.gates[1] is not host.gates[0]
+    assert frag.gates == [cx(0, 1), cx(1, 0), cx(0, 1)]
+    assert all(g is h for g, h in zip(frag.gates, before))
     with pytest.raises(CircuitError):
         host.extend(frag, [0])
     with pytest.raises(CircuitError):

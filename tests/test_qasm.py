@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from revdiv.circuit import Circuit, Gate, Register, ccx, cx, x
-from revdiv.divider import RESTORING, build_divider, make_params
+from revdiv.divider import KINDS, RESTORING, build_divider, make_params
 from revdiv.qasm import (
     HEADER,
     QasmExportError,
@@ -200,6 +200,22 @@ def test_empty_register_round_trips(empty):
 def test_imported_empty_register_exports_in_place():
     text = f"{HEADER}\nqubit[1] a;\nqubit[0] e;\nqubit[1] b;\ncx a[0], b[0];\n"
     assert export_text(import_text(text)) == text
+
+
+def test_registers_round_trip_in_wire_order():
+    c = Circuit(2, [Register("b", (1,)), Register("a", (0,))], [cx(0, 1), x(1)])
+    back = import_text(export_text(c))
+    assert back.registers == [Register("a", (0,)), Register("b", (1,))]
+    assert back.qubit_count == c.qubit_count
+    assert back.gates == c.gates
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("adder", ["cuccaro", "vbe"])
+def test_export_ignores_gate_sharing(kind, adder):
+    c, _ = build_divider(make_params(8, adder, kind))
+    unshared = Circuit(c.qubit_count, c.registers, [Gate(g.name, g.qubits) for g in c.gates])
+    assert export_text(unshared) == export_text(c)
 
 
 def test_export_rejects_gapped_registers():
