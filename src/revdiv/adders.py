@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
-from .circuit import Circuit, CircuitError, ccx, cx, x
+from .circuit import Circuit, CircuitError, Template, ccx, cx, x
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,13 @@ class AdderFragment:
             )
         own = (*self.a, *self.b, self.carry_in, self.carry_out, *self.ancillas)
         host_of = dict(zip(own, (*a, *b, carry_in, carry_out, *ancillas)))
-        host.extend(self.circuit, [host_of[k] for k in range(self.circuit.qubit_count)])
+        host.extend(self.template, [host_of[k] for k in range(self.circuit.qubit_count)])
+
+    @cached_property
+    def template(self) -> Template:
+        """The circuit's placement template, made at the first placement and
+        reused by the rest; the circuit is complete by then."""
+        return Template.of(self.circuit)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ but contribute no depth of their own.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 
 GATE_ARITY = {"x": 1, "cx": 2, "ccx": 3}
 
@@ -95,12 +97,15 @@ class Circuit:
         self.gates.append(gate)
         return self
 
-    def extend(self, fragment: "Circuit", mapping: list[int] | tuple[int, ...]) -> "Circuit":
+    def extend(
+        self, fragment: Circuit | Template, mapping: list[int] | tuple[int, ...]
+    ) -> Circuit:
         """Append every gate of ``fragment``, remapped through ``mapping``.
 
         ``mapping[k]`` is the host wire for fragment wire ``k``.  Equal gates
         of the fragment append one shared copy.  The fragment is left
-        untouched.
+        untouched.  A fragment placed many times is best passed as its
+        :class:`Template`; a plain ``Circuit`` gets a fresh one per call.
         """
         if len(mapping) != fragment.qubit_count:
             raise CircuitError(
@@ -109,30 +114,51 @@ class Circuit:
             )
         if len(set(mapping)) != len(mapping):
             raise CircuitError("mapping entries must be pairwise distinct")
-        if any(q < 0 or q >= self.qubit_count for q in mapping):
+        if mapping and (min(mapping) < 0 or max(mapping) >= self.qubit_count):
             raise CircuitError("mapping entry out of range for host circuit")
+        t = fragment if isinstance(fragment, Template) else Template.of(fragment)
         # An injective, in-range map sends a valid gate to a valid gate, so
-        # the copies skip Gate.__post_init__ and fill the slots directly.
-        # It also sends equal gates, and only those, to equal copies, which
-        # share one Gate: an adder uncomputes its carries with the gates that
-        # computed them.
-        made: dict[str, dict[tuple[int, ...], Gate]] = {name: {} for name in GATE_ARITY}
-        set_name, set_qubits = Gate.name.__set__, Gate.qubits.__set__
-        append = self.gates.append
-        for g in fragment.gates:
-            by_qubits = made[g.name]
-            copy = by_qubits.get(g.qubits)
-            if copy is None:
-                copy = by_qubits[g.qubits] = object.__new__(Gate)
-                set_name(copy, g.name)
-                set_qubits(copy, tuple([mapping[q] for q in g.qubits]))
-            append(copy)
+        # the copies skip Gate.__post_init__ and fill the slots directly.  It
+        # also sends equal gates, and only those, to equal copies, so one
+        # copy per distinct gate serves all its positions.  Each map below
+        # runs in C; deque(..., 0) drains one whose items are all None.
+        wires = tuple(map(mapping.__getitem__, t.operands))
+        copies = list(map(object.__new__, repeat(Gate, len(t.names))))
+        deque(map(Gate.name.__set__, copies, t.names), 0)
+        deque(map(Gate.qubits.__set__, copies, map(wires.__getitem__, t.slices)), 0)
+        self.gates += map(copies.__getitem__, t.order)
         return self
 
-    def reversed(self) -> "Circuit":
-        """Same wires, gates in reverse order (each gate is self-inverse)."""
-        rev = Circuit(self.qubit_count, list(self.registers), list(reversed(self.gates)))
-        return rev
+
+@dataclass(frozen=True, slots=True)
+class Template:
+    """A fragment's placement template: its distinct gates and their order.
+
+    ``gates`` are the fragment's gates.  Distinct gate ``i`` is ``names[i]``
+    on ``operands[slices[i]]``, and ``gates[k]`` is distinct gate
+    ``order[k]``.  Adders uncompute their
+    carries with the gates that computed them, so there are about half as
+    many distinct gates as positions.
+    """
+
+    qubit_count: int
+    gates: tuple[Gate, ...]
+    names: tuple[str, ...]
+    operands: tuple[int, ...]
+    slices: tuple[slice, ...]
+    order: tuple[int, ...]
+
+    @classmethod
+    def of(cls, circuit: Circuit) -> "Template":
+        index: dict[Gate, int] = {}  # distinct gate -> its number, in first-seen order
+        order = tuple([index.setdefault(g, len(index)) for g in circuit.gates])
+        operands: list[int] = []
+        slices = []
+        for g in index:
+            slices.append(slice(len(operands), len(operands) + len(g.qubits)))
+            operands += g.qubits
+        return cls(circuit.qubit_count, tuple(circuit.gates), tuple([g.name for g in index]),
+                   tuple(operands), tuple(slices), order)
 
 
 @dataclass(frozen=True)

@@ -279,6 +279,8 @@ def expected_final_state(
 def run_division(
     circuit: Circuit, layout: DividerLayout, dividend: int, divisor: int
 ) -> tuple[int, int]:
+    """One division on the circuit, checked: q*b + r = a with r < b, and
+    every wire as the classical trace predicts, or a ``ValueError``."""
     n = layout.n
     if divisor == 0:
         raise ZeroDivisionError("divisor must be non-zero")
@@ -290,9 +292,28 @@ def run_division(
     encode_register(layout.dividend_qubits, dividend, state)
     encode_register(layout.divisor_qubits, divisor, state)
     out = apply(circuit, state)
-    quotient = decode_register(out, layout.quotient_positions)
-    remainder = decode_register(out, layout.remainder_positions)
-    return quotient, remainder
+    expected = expected_final_state(circuit, layout, dividend, divisor)
+    failure = _lane_failure(layout, dividend, divisor, out, expected)
+    if failure:
+        raise ValueError(failure)
+    return (
+        decode_register(out, layout.quotient_positions),
+        decode_register(out, layout.remainder_positions),
+    )
+
+
+def _lane_failure(
+    layout: DividerLayout, dividend: int, divisor: int, lane: list[int], expected: list[int]
+) -> str | None:
+    """What is wrong with one division's terminal state, or None."""
+    q = decode_register(lane, layout.quotient_positions)
+    r = decode_register(lane, layout.remainder_positions)
+    if q * divisor + r != dividend or r >= divisor:
+        want_q, want_r = divmod(dividend, divisor)
+        return f"a={dividend} b={divisor}: got q={q} r={r}, want q={want_q} r={want_r}"
+    if lane != expected:
+        return f"a={dividend} b={divisor}: terminal state mismatch"
+    return None
 
 
 @dataclass
@@ -344,12 +365,11 @@ def verify_exhaustive(
     acc = r + [0] * n
     for j, qj in enumerate(q):
         acc[j:], _ = _ripple_add(acc[j:], [bi & qj for bi in b] + [0] * (n - j), 0)
-    _, qr_bad = _ripple_add(r, [bi ^ ones for bi in b], ones)  # r >= b
+    _, bad = _ripple_add(r, [bi ^ ones for bi in b], ones)  # r >= b
     for got, want in zip(acc, a + [0] * n):
-        qr_bad |= got ^ want
-
-    bad = qr_bad
-    for got, want in zip(out, _expected_planes(circuit.qubit_count, layout, a, b, ones)):
+        bad |= got ^ want
+    expected = _expected_planes(circuit.qubit_count, layout, a, b, ones)
+    for got, want in zip(out, expected):
         bad |= got ^ want
 
     report = VerificationReport(total=lanes, passed=lanes - bad.bit_count())
@@ -357,19 +377,13 @@ def verify_exhaustive(
         k = (bad & -bad).bit_length() - 1
         # the failing lane's division, read from its input planes
         inputs = [(p >> k) & 1 for p in index]
-        dividend = decode_register(inputs, range(n))
-        divisor = decode_register(inputs, range(n, 2 * n))
-        if (qr_bad >> k) & 1:
-            lane = [(p >> k) & 1 for p in out]
-            quotient = decode_register(lane, layout.quotient_positions)
-            remainder = decode_register(lane, layout.remainder_positions)
-            expect_q, expect_r = divmod(dividend, divisor)
-            report.first_failure = (
-                f"a={dividend} b={divisor}: got q={quotient} r={remainder}, "
-                f"want q={expect_q} r={expect_r}"
-            )
-        else:
-            report.first_failure = f"a={dividend} b={divisor}: terminal state mismatch"
+        report.first_failure = _lane_failure(
+            layout,
+            decode_register(inputs, range(n)),
+            decode_register(inputs, range(n, 2 * n)),
+            [(p >> k) & 1 for p in out],
+            [(p >> k) & 1 for p in expected],
+        )
     return report
 
 

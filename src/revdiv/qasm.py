@@ -16,6 +16,11 @@ from .circuit import Circuit, CircuitError, Gate, GATE_ARITY, Register
 
 HEADER = "OPENQASM 3.0;"
 
+# The most wires the declarations of one import may add up to.  Each
+# declared wire costs about 160 B, chiefly its "reg[i]" operand-table entry,
+# so the cap bounds that at about 2.6 GB; an n=128 divider declares 641.
+MAX_WIRES = 2**24
+
 # sizes and indices have at most 18 digits: int() may refuse a longer one
 _DECL_RE = re.compile(r"^qubit\[(\d{1,18})\]\s+([A-Za-z_][A-Za-z_0-9]*)\s*;$", re.ASCII)
 _OPERAND_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)\[(\d{1,18})\]$", re.ASCII)
@@ -116,6 +121,10 @@ def import_text(text: str) -> Circuit:
                 if gates:
                     raise QasmParseError(line_no, "declaration after gate statement")
                 size, name = int(m.group(1)), m.group(2)
+                if circuit.qubit_count + size > MAX_WIRES:
+                    raise QasmParseError(
+                        line_no, f"declarations exceed {MAX_WIRES} wires in total"
+                    )
                 if name in registers:
                     raise QasmParseError(line_no, f"register {_quote(name)} redeclared")
                 reg = registers[name] = circuit.new_register(name, size)

@@ -153,7 +153,8 @@ def test_criterion_7_simulator_soundness():
         c = _random_fragment(rng)
         state = [rng.randrange(2) for _ in range(c.qubit_count)]
         mid = apply(c, state)
-        ok = ok and apply(c.reversed(), mid) == state
+        inverse = Circuit(c.qubit_count, list(c.registers), c.gates[::-1])
+        ok = ok and apply(inverse, mid) == state
 
     d = Circuit()
     d.new_register("w", 6)

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revdiv.adders import ADDERS
+from revdiv.adders import ADDERS, build_vbe, wrap_add_sub
 from revdiv.circuit import (
     Circuit,
     CircuitError,
     Gate,
+    Template,
     ccx,
     cx,
     measure,
@@ -108,6 +109,97 @@ def test_extend_remaps_and_copies():
         host.extend(frag, [3, 4])
 
 
+def naive_remap(fragment, mapping):
+    return [Gate(g.name, tuple(mapping[q] for q in g.qubits)) for g in fragment.gates]
+
+
+def test_template_placements_share_within_not_across():
+    frag = build_vbe(3)
+    t = frag.template
+    assert frag.template is t  # made once, at the first use
+    assert len(t.names) < len(t.order) == len(frag.circuit.gates)
+    host = Circuit()
+    host.new_register("w", 2 * frag.circuit.qubit_count)
+    first = list(range(frag.circuit.qubit_count))
+    second = list(reversed(range(frag.circuit.qubit_count, host.qubit_count)))
+    host.extend(t, first)
+    host.extend(t, second)
+    placed = (host.gates[: len(t.order)], host.gates[len(t.order) :])
+    for gates, mapping in zip(placed, (first, second)):
+        assert gates == naive_remap(frag.circuit, mapping)
+        # equal gates of one placement are one object, and only those
+        by_value = {}
+        for g in gates:
+            assert by_value.setdefault(g, g) is g
+    assert not {id(g) for g in placed[0]} & {id(g) for g in placed[1]}
+
+
+@st.composite
+def fragments_and_mappings(draw):
+    width = draw(st.integers(min_value=1, max_value=8))
+    frag = Circuit()
+    frag.new_register("f", width)
+    for _ in range(draw(st.integers(min_value=0, max_value=40))):
+        arity = draw(st.integers(min_value=1, max_value=min(3, width)))
+        wires = draw(st.lists(st.integers(0, width - 1), min_size=arity, max_size=arity,
+                              unique=True))
+        frag.append(Gate({1: "x", 2: "cx", 3: "ccx"}[arity], tuple(wires)))
+    host_width = draw(st.integers(min_value=width, max_value=12))
+    mapping = draw(st.permutations(range(host_width)))[:width]
+    return frag, host_width, mapping
+
+
+@settings(max_examples=200, deadline=None)
+@given(fragments_and_mappings())
+def test_extend_is_the_naive_remap(case):
+    frag, host_width, mapping = case
+    before = list(frag.gates)
+    host = Circuit()
+    host.new_register("h", host_width)
+    host.append(x(0))
+    host.extend(frag, mapping)
+    assert host.gates[0] == x(0)
+    assert host.gates[1:] == naive_remap(frag, mapping)
+    assert all(type(g) is Gate and type(g.qubits) is tuple for g in host.gates)
+    # one copy per distinct fragment gate
+    assert len({id(g) for g in host.gates[1:]}) == len(set(frag.gates))
+    assert frag.gates == before and all(g is h for g, h in zip(frag.gates, before))
+
+
+@pytest.mark.parametrize("adder", sorted(ADDERS))
+def test_placed_fragment_matches_extend_of_its_circuit(adder):
+    frag = wrap_add_sub(ADDERS[adder], 5)
+    n = 6
+    width = frag.circuit.qubit_count
+    placed, extended = Circuit(), Circuit()
+    for c in (placed, extended):
+        c.new_register("w", width + n)
+    for i in range(n):
+        # shift every role one wire up per placement, wrapping around
+        host_of = [(k + i) % (width + n) for k in range(width)]
+        frag.place(
+            placed,
+            [host_of[k] for k in frag.a],
+            [host_of[k] for k in frag.b],
+            host_of[frag.carry_in],
+            host_of[frag.carry_out],
+            [host_of[k] for k in frag.ancillas],
+        )
+        extended.extend(frag.circuit, host_of)
+    assert placed.gates == extended.gates
+    assert len(placed.gates) == n * len(frag.circuit.gates)
+
+
+def test_template_of_empty_and_wireless_circuits():
+    host = Circuit()
+    host.new_register("w", 2)
+    assert host.extend(Circuit(), []).gates == []
+    t = Template.of(Circuit(2))
+    assert host.extend(t, [1, 0]).gates == []
+    with pytest.raises(CircuitError):
+        host.extend(t, [1])
+
+
 def test_depth_disjoint_toffolis():
     c = Circuit()
     c.new_register("w", 6)
@@ -147,12 +239,17 @@ def test_depth_clifford_mediated_ordering():
     assert measure(c).toffoli_depth == 2
 
 
+def reversed_circuit(c):
+    """Same wires, gates in reverse order: the inverse, as each gate is self-inverse."""
+    return Circuit(c.qubit_count, list(c.registers), c.gates[::-1])
+
+
 def test_reversed_is_inverse_order():
     c = Circuit()
     c.new_register("w", 3)
     c.append(x(0))
     c.append(ccx(0, 1, 2))
-    r = c.reversed()
+    r = reversed_circuit(c)
     assert r.gates == [ccx(0, 1, 2), x(0)]
     assert c.gates == [x(0), ccx(0, 1, 2)]
 

@@ -1,10 +1,13 @@
 import hashlib
 import json
+import random
+import re
 
 import pytest
 
 from revdiv.cli import main
-from revdiv.divider import EXHAUSTIVE_LIMIT
+from revdiv.divider import EXHAUSTIVE_LIMIT, KINDS, build_divider, make_params
+from revdiv.qasm import export_text
 
 
 def test_build_writes_qasm_and_reports(tmp_path, capsys):
@@ -150,6 +153,68 @@ def test_simulate_crlf_copy(tmp_path, capsys):
                "--divisor", "3"])
     assert rc == 0
     assert capsys.readouterr().out == "q=2 r=1\n"
+
+
+def test_simulate_rejects_a_wrong_division(tmp_path, capsys):
+    # without the Toffoli on line 98 this divider gives 0 / 2 = 6 rest 2
+    out = tmp_path / "d4.qasm"
+    main(["build", "--n", "4", "--adder", "cuccaro", "--out", str(out)])
+    capsys.readouterr()
+    lines = out.read_text().split("\n")
+    assert lines[97] == "ccx d[0], rq[2], d[1];"
+    mutant = tmp_path / "mutant.qasm"
+    mutant.write_text("\n".join(lines[:97] + lines[98:]))
+    rc = main(["simulate", "--circuit", str(mutant), "--dividend", "0",
+               "--divisor", "2"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "error: a=0 b=2: got q=6 r=2, want q=0 r=0\n"
+
+
+def _mutate(rng, lines, first_gate):
+    """One gate line dropped, duplicated, swapped with the next, or re-indexed."""
+    lines = list(lines)
+    i = rng.randrange(first_gate, len(lines) - 1)
+    op = rng.choice(("drop", "duplicate", "swap", "reindex"))
+    if op == "drop":
+        del lines[i]
+    elif op == "duplicate":
+        lines.insert(i, lines[i])
+    elif op == "swap":
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    else:
+        operands = list(re.finditer(r"\[(\d+)\]", lines[i]))
+        m = rng.choice(operands)
+        index = rng.randrange(9)  # the largest n=4 register has 8 wires
+        lines[i] = lines[i][: m.start(1)] + str(index) + lines[i][m.end(1) :]
+    return lines
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("adder", ["cuccaro", "vbe"])
+def test_simulate_on_mutants_is_right_or_an_error(tmp_path, capsys, kind, adder):
+    rng = random.Random(f"{kind}-{adder}")
+    c, _ = build_divider(make_params(4, adder, kind))
+    lines = export_text(c).split("\n")
+    first_gate = 1 + len(c.registers)
+    path = tmp_path / "mutant.qasm"
+    outcomes = {"right": 0, "error": 0}
+    for _ in range(100):
+        path.write_text("\n".join(_mutate(rng, lines, first_gate)))
+        a, b = rng.randrange(16), rng.randrange(1, 16)
+        rc = main(["simulate", "--circuit", str(path), "--dividend", str(a),
+                   "--divisor", str(b)])
+        captured = capsys.readouterr()
+        q, r = divmod(a, b)
+        if rc == 0:
+            assert (captured.out, captured.err) == (f"q={q} r={r}\n", "")
+            outcomes["right"] += 1
+        else:
+            assert rc == 1 and captured.out == ""
+            assert re.fullmatch(r"error: [^\n]+\n", captured.err)
+            outcomes["error"] += 1
+    assert min(outcomes.values()) > 0
 
 
 @pytest.mark.parametrize(

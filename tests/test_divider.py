@@ -257,3 +257,41 @@ def test_sliced_verification_matches_lane_by_lane(monkeypatch, fault, kind, adde
     passed, first = _verify_lane_by_lane(*faulty_build(make_params(n, adder, kind)))
     assert passed < report.total
     assert (report.passed, report.first_failure) == (passed, first)
+
+
+def _line98_mutant():
+    """The n=4 non-restoring Cuccaro export without its line 98 Toffoli."""
+    c, _ = build_divider(make_params(4, "cuccaro", NON_RESTORING))
+    lines = export_text(c).split("\n")
+    assert lines[97] == "ccx d[0], rq[2], d[1];"
+    mutant = import_text("\n".join(lines[:97] + lines[98:]))
+    return mutant, layout_from_circuit(mutant)
+
+
+def test_run_division_raises_where_the_state_is_wrong():
+    c, layout = _line98_mutant()
+    wrong = 0
+    for a in range(16):
+        for b in range(1, 16):
+            state = [0] * c.qubit_count
+            encode_register(layout.dividend_qubits, a, state)
+            encode_register(layout.divisor_qubits, b, state)
+            if apply(c, state) == expected_final_state(c, layout, a, b):
+                assert run_division(c, layout, a, b) == divmod(a, b)
+                continue
+            wrong += 1
+            with pytest.raises(ValueError, match=f"^a={a} b={b}: "):
+                run_division(c, layout, a, b)
+    assert wrong == 66
+    with pytest.raises(ValueError) as exc:
+        run_division(c, layout, 0, 2)
+    assert str(exc.value) == "a=0 b=2: got q=6 r=2, want q=0 r=0"
+
+
+def test_run_division_names_a_wrong_terminal_state():
+    # a stray NOT on an ancilla leaves q and r right but the state wrong
+    c, layout = build_divider(make_params(3, "vbe", RESTORING))
+    c.append(Gate("x", (c.registers[-1].qubits[0],)))
+    with pytest.raises(ValueError) as exc:
+        run_division(c, layout, 7, 3)
+    assert str(exc.value) == "a=7 b=3: terminal state mismatch"

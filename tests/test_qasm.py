@@ -3,8 +3,10 @@ from hypothesis import given, settings, strategies as st
 
 from revdiv.circuit import Circuit, Gate, Register, ccx, cx, x
 from revdiv.divider import KINDS, RESTORING, build_divider, make_params
+from revdiv import qasm
 from revdiv.qasm import (
     HEADER,
+    MAX_WIRES,
     QasmExportError,
     QasmParseError,
     export_text,
@@ -183,6 +185,29 @@ def test_parse_error_carries_line_number():
         import_text(text)
     assert exc.value.line_no == 3
     assert "line 3" in str(exc.value)
+
+
+def test_declarations_past_the_wire_cap_fail_on_their_line():
+    assert MAX_WIRES == 2**24
+    with pytest.raises(QasmParseError) as exc:
+        import_text(f"{HEADER}\nqubit[16777217] a;\n")
+    assert str(exc.value) == "line 2: declarations exceed 16777216 wires in total"
+    # the cap counts every declaration, and is checked before any wire is made
+    with pytest.raises(QasmParseError, match="^line 3: "):
+        import_text(f"{HEADER}\nqubit[2] a;\nqubit[{MAX_WIRES - 1}] b;\n")
+    with pytest.raises(QasmParseError, match="^line 2: "):
+        import_text(f"{HEADER}\nqubit[{'9' * 18}] a;\n")
+
+
+def test_declarations_up_to_the_wire_cap_are_accepted(monkeypatch):
+    # a full-size table at the real cap takes gigabytes, so the boundary is
+    # checked at a small cap; the comparison is the same
+    monkeypatch.setattr(qasm, "MAX_WIRES", 5)
+    c = import_text(f"{HEADER}\nqubit[2] a;\nqubit[3] b;\nccx a[0], a[1], b[2];\n")
+    assert c.qubit_count == 5
+    assert c.gates == [ccx(0, 1, 4)]
+    with pytest.raises(QasmParseError, match="^line 4: declarations exceed 5 wires"):
+        import_text(f"{HEADER}\nqubit[2] a;\nqubit[3] b;\nqubit[1] c;\n")
 
 
 @pytest.mark.parametrize("empty", [0, 1, 2])
