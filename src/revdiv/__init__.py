@@ -28,7 +28,6 @@ from .costs import (
     ROW_IDS,
     STRICT_FLOOR,
     comparison_table,
-    compose,
     evaluate_row,
     omega,
 )
@@ -39,7 +38,6 @@ from .divider import (
     DividerLayout,
     DividerParams,
     build_divider,
-    crosscheck_counts,
     make_params,
     run_division,
     verify_exhaustive,

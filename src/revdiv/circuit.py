@@ -97,26 +97,23 @@ class Circuit:
         self.gates.append(gate)
         return self
 
-    def extend(
-        self, fragment: Circuit | Template, mapping: list[int] | tuple[int, ...]
-    ) -> Circuit:
-        """Append every gate of ``fragment``, remapped through ``mapping``.
+    def extend(self, t: Template, mapping: list[int] | tuple[int, ...]) -> Circuit:
+        """Append every gate of the fragment that ``t`` templates, remapped
+        through ``mapping``.
 
         ``mapping[k]`` is the host wire for fragment wire ``k``.  Equal gates
         of the fragment append one shared copy.  The fragment is left
-        untouched.  A fragment placed many times is best passed as its
-        :class:`Template`; a plain ``Circuit`` gets a fresh one per call.
+        untouched.
         """
-        if len(mapping) != fragment.qubit_count:
+        if len(mapping) != t.qubit_count:
             raise CircuitError(
                 f"mapping length {len(mapping)} != fragment qubit count "
-                f"{fragment.qubit_count}"
+                f"{t.qubit_count}"
             )
         if len(set(mapping)) != len(mapping):
             raise CircuitError("mapping entries must be pairwise distinct")
         if mapping and (min(mapping) < 0 or max(mapping) >= self.qubit_count):
             raise CircuitError("mapping entry out of range for host circuit")
-        t = fragment if isinstance(fragment, Template) else Template.of(fragment)
         # An injective, in-range map sends a valid gate to a valid gate, so
         # the copies skip Gate.__post_init__ and fill the slots directly.  It
         # also sends equal gates, and only those, to equal copies, so one

@@ -15,8 +15,7 @@ import math
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
-from .divider import NON_RESTORING, RESTORING, check_width_and_kind, overhead
-from .divider import compose  # noqa: F401  (public here as costs.compose)
+from .divider import NON_RESTORING, RESTORING, check_width_and_kind
 
 CEIL_REAL_LOG = "ceil-real-log"
 STRICT_FLOOR = "strict-floor"
@@ -179,12 +178,13 @@ def evaluate_row(
     try:
         td, tc, qc = _row_values(row_id, n, radix, strict=(rounding == STRICT_FLOOR))
         if kind == RESTORING:
-            # each row is a non-restoring divider; swap its overhead for the
-            # restoring one
-            restoring, non_restoring = overhead(n, RESTORING), overhead(n, NON_RESTORING)
-            td, tc, qc = (
-                v + r - s for v, r, s in zip((td, tc, qc), restoring, non_restoring)
-            )
+            # each row is a non-restoring divider: its one conditional adder
+            # (3n+1 Toffolis) becomes one per iteration (3n^2+n), and its
+            # 4n+2 fixed wires 4n+1.  A float past 2^53 rounds at each step,
+            # so the restoring term is added first, then the other taken off.
+            td = td + (3 * n * n + n) - (3 * n + 1)
+            tc = tc + (3 * n * n + n) - (3 * n + 1)
+            qc = qc + (4 * n + 1) - (4 * n + 2)
         return (_ceil(td), _ceil(tc), _ceil(qc))
     except OverflowError:
         raise ValueError(f"{row_id} at n={n} overflows a float under {rounding}") from None

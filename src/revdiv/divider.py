@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .adders import AdderBuilder, build_cond_add, get_adder, wrap_add_sub, wrap_subtractor
-from .circuit import Circuit, ResourceReport, ccx, cx, measure, x
+from .circuit import Circuit, ccx, cx, x
+from .circuit import measure  # noqa: F401  (traced benchmark runs patch divider.measure)
 from .sim import apply, apply_planes, decode_register, encode_register
 
 NON_RESTORING = "non_restoring"
@@ -385,37 +386,6 @@ def verify_exhaustive(
             [(p >> k) & 1 for p in expected],
         )
     return report
-
-
-def overhead(n: int, kind: str) -> tuple[int, int, int]:
-    """(TD, TC, QC) a divider spends beyond its n adders and their ancillas.
-
-    Non-restoring: one conditional adder of 3n+1 Toffolis and 4n+2 wires.
-    Restoring: one such adder per iteration and 4n+1 wires.
-    """
-    if kind == NON_RESTORING:
-        return (3 * n + 1, 3 * n + 1, 4 * n + 2)
-    return (3 * n * n + n, 3 * n * n + n, 4 * n + 1)
-
-
-def compose(adder_costs: tuple[int, int, int], n: int, kind: str = NON_RESTORING):
-    """Divider cost triple from an adder's (TD, TC, ancillas) at width n+1."""
-    check_width_and_kind(n, kind)
-    td_add, tc_add, anc = adder_costs
-    td, tc, qc = overhead(n, kind)
-    return (n * td_add + td, n * tc_add + tc, qc + anc)
-
-
-def crosscheck_counts(
-    params: DividerParams,
-) -> tuple[ResourceReport, tuple[int, int, int]]:
-    """The built divider's measured resources, and the (TD, TC, QC) that
-    :func:`compose` gives for its adder as measured at width n+1."""
-    circuit, _ = build_divider(params)
-    frag = params.adder.build(params.n + 1)
-    rep = measure(frag.circuit)
-    adder_costs = (rep.toffoli_depth, rep.toffoli_count, len(frag.ancillas))
-    return measure(circuit), compose(adder_costs, params.n, params.kind)
 
 
 def make_params(n: int, adder_name: str, kind: str) -> DividerParams:

@@ -18,8 +18,8 @@ HEADER = "OPENQASM 3.0;"
 
 # The most wires the declarations of one import may add up to.  Each
 # declared wire costs about 160 B, chiefly its "reg[i]" operand-table entry,
-# so the cap bounds that at about 2.6 GB; an n=128 divider declares 641.
-MAX_WIRES = 2**24
+# so the cap bounds that at about 164 MB; an n=128 divider declares 641.
+MAX_WIRES = 2**20
 
 # sizes and indices have at most 18 digits: int() may refuse a longer one
 _DECL_RE = re.compile(r"^qubit\[(\d{1,18})\]\s+([A-Za-z_][A-Za-z_0-9]*)\s*;$", re.ASCII)
@@ -111,6 +111,10 @@ def import_text(text: str) -> Circuit:
             if line.startswith("OPENQASM"):
                 if line != HEADER:
                     raise QasmParseError(line_no, f"unsupported version line {_quote(line)}")
+                if saw_header:
+                    raise QasmParseError(line_no, "repeated OPENQASM header")
+                if registers:
+                    raise QasmParseError(line_no, "OPENQASM header after a declaration")
                 saw_header = True
                 continue
             # a line led by the qubit keyword is a declaration or an error

@@ -13,7 +13,6 @@ from revdiv.costs import (
     ROW_IDS,
     STRICT_FLOOR,
     comparison_table,
-    compose,
     evaluate_row,
     omega,
 )
@@ -22,7 +21,6 @@ from revdiv.divider import (
     NON_RESTORING,
     RESTORING,
     build_divider,
-    crosscheck_counts,
     make_params,
     verify_exhaustive,
 )
@@ -66,9 +64,7 @@ def test_criterion_3_toffoli_composition():
     ok = True
     for adder in ADDER_NAMES:
         for n in range(1, 9):
-            measured, (formula_td, _, _) = crosscheck_counts(
-                make_params(n, adder, NON_RESTORING)
-            )
+            measured = measure(build_divider(make_params(n, adder, NON_RESTORING))[0])
             adder_tc = measure(get_adder(adder).build(n + 1).circuit).toffoli_count
             want_add_tc = (
                 2 * (n + 1) - 1 if adder == "cuccaro" else 4 * (n + 1) - 2
@@ -76,7 +72,7 @@ def test_criterion_3_toffoli_composition():
             ok = ok and adder_tc == want_add_tc
             # n adders plus a conditional adder of exactly 3n+1 Toffolis
             ok = ok and measured.toffoli_count == n * adder_tc + 3 * n + 1
-            ok = ok and measured.toffoli_depth <= formula_td
+            ok = ok and measured.toffoli_depth <= evaluate_row(adder, n)[0]
     assert _report(3, "Toffoli count composition and depth bound", ok)
 
 
@@ -102,14 +98,9 @@ def test_criterion_4_published_table():
 def test_criterion_5_cross_model_consistency():
     ok = True
     for adder in ADDER_NAMES:
-        builder = get_adder(adder)
         for n in range(1, 17):
-            frag = builder.build(n + 1)
-            rep = measure(frag.circuit)
-            composed = compose(
-                (rep.toffoli_depth, rep.toffoli_count, len(frag.ancillas)), n
-            )
-            ok = ok and evaluate_row(adder, n)[1] == composed[1]
+            c, _ = build_divider(make_params(n, adder, NON_RESTORING))
+            ok = ok and evaluate_row(adder, n)[1] == measure(c).toffoli_count
     for n in (4, 8, 16, 32):
         for rid in ROW_IDS:
             r = 3 if rid == "higher_radix" else None

@@ -94,7 +94,7 @@ def test_extend_remaps_and_copies():
     before = list(frag.gates)
     host = Circuit()
     host.new_register("w", 4)
-    host.extend(frag, [3, 1])
+    host.extend(Template.of(frag), [3, 1])
     assert host.gates == [cx(3, 1), cx(1, 3), cx(3, 1)]
     # the two equal copies are one Gate, the unequal one another
     assert host.gates[0] is host.gates[2]
@@ -102,11 +102,11 @@ def test_extend_remaps_and_copies():
     assert frag.gates == [cx(0, 1), cx(1, 0), cx(0, 1)]
     assert all(g is h for g, h in zip(frag.gates, before))
     with pytest.raises(CircuitError):
-        host.extend(frag, [0])
+        host.extend(Template.of(frag), [0])
     with pytest.raises(CircuitError):
-        host.extend(frag, [2, 2])
+        host.extend(Template.of(frag), [2, 2])
     with pytest.raises(CircuitError):
-        host.extend(frag, [3, 4])
+        host.extend(Template.of(frag), [3, 4])
 
 
 def naive_remap(fragment, mapping):
@@ -157,7 +157,7 @@ def test_extend_is_the_naive_remap(case):
     host = Circuit()
     host.new_register("h", host_width)
     host.append(x(0))
-    host.extend(frag, mapping)
+    host.extend(Template.of(frag), mapping)
     assert host.gates[0] == x(0)
     assert host.gates[1:] == naive_remap(frag, mapping)
     assert all(type(g) is Gate and type(g.qubits) is tuple for g in host.gates)
@@ -185,7 +185,7 @@ def test_placed_fragment_matches_extend_of_its_circuit(adder):
             host_of[frag.carry_out],
             [host_of[k] for k in frag.ancillas],
         )
-        extended.extend(frag.circuit, host_of)
+        extended.extend(Template.of(frag.circuit), host_of)
     assert placed.gates == extended.gates
     assert len(placed.gates) == n * len(frag.circuit.gates)
 
@@ -193,7 +193,7 @@ def test_placed_fragment_matches_extend_of_its_circuit(adder):
 def test_template_of_empty_and_wireless_circuits():
     host = Circuit()
     host.new_register("w", 2)
-    assert host.extend(Circuit(), []).gates == []
+    assert host.extend(Template.of(Circuit()), []).gates == []
     t = Template.of(Circuit(2))
     assert host.extend(t, [1, 0]).gates == []
     with pytest.raises(CircuitError):

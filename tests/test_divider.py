@@ -3,14 +3,12 @@ import hashlib
 import pytest
 
 from revdiv import divider
-from revdiv.adders import get_adder
 from revdiv.circuit import Gate, measure
 from revdiv.divider import (
     KINDS,
     NON_RESTORING,
     RESTORING,
     build_divider,
-    crosscheck_counts,
     expected_final_state,
     layout_from_circuit,
     make_params,
@@ -19,6 +17,8 @@ from revdiv.divider import (
 )
 from revdiv.qasm import export_text, import_text
 from revdiv.sim import apply, decode_register, encode_register
+
+from divider_costs import WIDTHS, built_costs
 
 ADDER_NAMES = ("cuccaro", "vbe")
 
@@ -62,34 +62,24 @@ def test_qubit_budget(kind, adder, n):
     assert c.qubit_count == 4 * n + base + anc
 
 
+def _measured(kind, adder, n):
+    r = measure(build_divider(make_params(n, adder, kind))[0])
+    return (r.toffoli_depth, r.toffoli_count, r.qubit_count, r.gate_total)
+
+
+# Each divider is n adders plus conditional adders, and its measured cost is
+# the exact polynomial of tests/divider_costs.py; test_costs checks each
+# closed-form row against the same polynomials.
 @pytest.mark.parametrize("adder", ADDER_NAMES)
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8])
+@pytest.mark.parametrize("n", WIDTHS)
 def test_nonrestoring_toffoli_composition(adder, n):
-    measured, (td, tc, qc) = crosscheck_counts(make_params(n, adder, NON_RESTORING))
-    adder_tc = measure(get_adder(adder).build(n + 1).circuit).toffoli_count
-    # measured divider TC = n * adder TC + conditional-adder TC (3n+1), exactly
-    assert measured.toffoli_count == n * adder_tc + 3 * n + 1
-    assert measured.toffoli_count == tc
-    assert measured.toffoli_depth <= td
-    assert measured.qubit_count == qc
+    assert _measured(NON_RESTORING, adder, n) == built_costs(NON_RESTORING, adder, n)
 
 
 @pytest.mark.parametrize("adder", ADDER_NAMES)
-@pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
+@pytest.mark.parametrize("n", WIDTHS)
 def test_restoring_toffoli_composition(adder, n):
-    measured, (td, tc, qc) = crosscheck_counts(make_params(n, adder, RESTORING))
-    assert measured.toffoli_count == tc
-    assert measured.toffoli_depth <= td
-    assert measured.qubit_count == qc
-
-
-@pytest.mark.parametrize("adder, offset", [("cuccaro", -2), ("vbe", -5)])
-def test_restoring_width1_documented_offset(adder, offset):
-    # the width-1 restoring divider folds its single subtraction into the
-    # known-zero window top, saving Toffolis relative to the closed form
-    measured, (_, tc, qc) = crosscheck_counts(make_params(1, adder, RESTORING))
-    assert measured.toffoli_count - tc == offset
-    assert measured.qubit_count == qc
+    assert _measured(RESTORING, adder, n) == built_costs(RESTORING, adder, n)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -76,6 +76,11 @@ def test_import_ignores_comments_and_blanks():
         (f"{HEADER}\nqubit a;\n", "line 2: bad declaration 'qubit a;'"),
         (f"{HEADER}\nqubit[1] a;\n;\n", "line 3: empty statement"),
         (f"{HEADER}\nqubit[1] a;\n  ;  // c\n", "line 3: empty statement"),
+        # the header comes first, once
+        (f"qubit[2] a;\n{HEADER}\ncx a[0], a[1];\n{HEADER}\n", "line 2: OPENQASM header after a declaration"),
+        (f"// c\nqubit[0] a;\n{HEADER}\n", "line 3: OPENQASM header after a declaration"),
+        (f"{HEADER}\n{HEADER}\nqubit[1] a;\n", "line 2: repeated OPENQASM header"),
+        (f"{HEADER}\nqubit[1] a;\n{HEADER} // again\n", "line 3: repeated OPENQASM header"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -188,10 +193,10 @@ def test_parse_error_carries_line_number():
 
 
 def test_declarations_past_the_wire_cap_fail_on_their_line():
-    assert MAX_WIRES == 2**24
+    assert MAX_WIRES == 2**20
     with pytest.raises(QasmParseError) as exc:
-        import_text(f"{HEADER}\nqubit[16777217] a;\n")
-    assert str(exc.value) == "line 2: declarations exceed 16777216 wires in total"
+        import_text(f"{HEADER}\nqubit[1048577] a;\n")
+    assert str(exc.value) == "line 2: declarations exceed 1048576 wires in total"
     # the cap counts every declaration, and is checked before any wire is made
     with pytest.raises(QasmParseError, match="^line 3: "):
         import_text(f"{HEADER}\nqubit[2] a;\nqubit[{MAX_WIRES - 1}] b;\n")
@@ -200,8 +205,8 @@ def test_declarations_past_the_wire_cap_fail_on_their_line():
 
 
 def test_declarations_up_to_the_wire_cap_are_accepted(monkeypatch):
-    # a full-size table at the real cap takes gigabytes, so the boundary is
-    # checked at a small cap; the comparison is the same
+    # a full-size table at the real cap takes about 164 MB, so the boundary
+    # is checked at a small cap; the comparison is the same
     monkeypatch.setattr(qasm, "MAX_WIRES", 5)
     c = import_text(f"{HEADER}\nqubit[2] a;\nqubit[3] b;\nccx a[0], a[1], b[2];\n")
     assert c.qubit_count == 5
