@@ -16,6 +16,11 @@ qubit budgets: the first subtractor's carry-in wire (back to 0 afterwards)
 hosts a later carry-out, and in the restoring variant the top of window 1
 (guaranteed 0 once the remainder is restored) hosts iteration 2's
 carry-out.
+
+One table, :func:`register_sizes`, gives every register's size, and one
+check tests each lane of dividend and divisor planes: q*b + r = a with
+r < b, and every wire against the classical trace.  It runs on every lane
+at once in :func:`verify_exhaustive` and on one in :func:`run_division`.
 """
 from __future__ import annotations
 
@@ -24,7 +29,8 @@ from dataclasses import dataclass
 from .adders import AdderBuilder, build_cond_add, get_adder, wrap_add_sub, wrap_subtractor
 from .circuit import Circuit, ccx, cx, x
 from .circuit import measure  # noqa: F401  (traced benchmark runs patch divider.measure)
-from .sim import apply, apply_planes, decode_register, encode_register
+from .sim import apply  # noqa: F401  (traced benchmark runs patch divider.apply)
+from .sim import apply_planes, decode_register, encode_register
 
 NON_RESTORING = "non_restoring"
 RESTORING = "restoring"
@@ -65,69 +71,61 @@ class DividerLayout:
     restore_control: int | None  # conditional-adder control (non-restoring)
 
 
+def register_sizes(kind: str, n: int) -> tuple[tuple[str, int], ...]:
+    """Each divider register's (name, size) in wire order, ancillas aside.
+
+    The non-restoring control s follows the quotient register, the
+    restoring carry-in z precedes it, and a restoring quotient register
+    holds n-1 wires because iteration 2's carry-out recycles the top of
+    window 1.
+    """
+    if kind == NON_RESTORING:
+        return (("rq", 2 * n), ("d", n + 1), ("q", n), ("s", 1))
+    return (("rq", 2 * n), ("d", n + 1), ("z", 1), ("q", n - 1))
+
+
 def layout_from_circuit(circuit: Circuit) -> DividerLayout:
     """Wire roles of a divider circuit, from its register names and sizes.
 
     This is the one source of every layout: :func:`build_divider` calls it
     on its registers before placing a gate and takes every window and
     carry-out wire from it, and it reads an imported circuit the same way."""
-    names = {r.name: r for r in circuit.registers}
-    if "rq" not in names or "d" not in names:
-        raise ValueError("not a divider circuit: missing rq/d registers")
-    rq = names["rq"].qubits
-    d = names["d"].qubits
-    n = len(rq) // 2
-    if n < 1 or len(rq) != 2 * n or len(d) != n + 1:
-        raise ValueError("not a divider circuit: bad register sizes")
-
+    names = {r.name: r.qubits for r in circuit.registers}
     if "s" in names:
-        kind, flag, q_size = NON_RESTORING, "s", n
+        kind = NON_RESTORING
     elif "z" in names:
-        kind, flag, q_size = RESTORING, "z", n - 1
+        kind = RESTORING
     else:
         raise ValueError("not a divider circuit: missing s/z register")
-    q = names["q"].qubits if "q" in names else ()
-    for name, reg, size in ((flag, names[flag].qubits, 1), ("q", q, q_size)):
-        if len(reg) != size:
+    rq = names.get("rq", ())
+    n = max(len(rq) // 2, 1)
+    for name, size in register_sizes(kind, n):
+        found = len(names.get(name, ()))
+        if found != size:
             raise ValueError(
                 f"not a divider circuit: n={n} needs {size} wire(s) in "
-                f"register {name!r}, found {len(reg)}"
+                f"register {name!r}, found {found}"
             )
 
+    q = names.get("q", ())
     if kind == NON_RESTORING:
         quotient = list(q)
+    elif n == 1:
+        quotient = [names["z"][0]]
     else:
-        slots = _restoring_cout_slots(rq, q, n) if n > 1 else [names["z"][0]]
-        quotient = list(reversed(slots))
+        # iteration 2's carry-out recycles the top of window 1
+        quotient = [*q[:-1], rq[-1], q[-1]]
 
     return DividerLayout(
         n=n,
         kind=kind,
-        dividend_qubits=[rq[k] for k in range(n)],
-        divisor_qubits=[d[k] for k in range(n)],
-        iteration_windows=[_window(rq, n, i) for i in range(1, n + 1)],
+        dividend_qubits=list(rq[:n]),
+        divisor_qubits=list(names["d"][:n]),
+        iteration_windows=[list(rq[n - i : 2 * n - i + 1]) for i in range(1, n + 1)],
         quotient_positions=quotient,
-        remainder_positions=[rq[k] for k in range(n)],
-        restore_control=names["s"][0] if "s" in names else None,
+        remainder_positions=list(rq[:n]),
+        restore_control=names["s"][0] if kind == NON_RESTORING else None,
     )
-
-
-def _window(rq, n: int, i: int) -> list[int]:
-    return [rq[k] for k in range(n - i, 2 * n - i + 1)]
-
-
-def _restoring_cout_slots(rq, q, n: int) -> list[int]:
-    """Carry-out wire of each restoring iteration (index i-1).
-
-    Iteration 2 recycles the top of window 1, which the preceding
-    restoration forces back to 0; the rest sit in the quotient register.
-    """
-    slots = [q[n - 2]]
-    if n >= 2:
-        slots.append(rq[2 * n - 1])
-    for i in range(3, n + 1):
-        slots.append(q[n - i])
-    return slots
 
 
 def build_divider(params: DividerParams) -> tuple[Circuit, DividerLayout]:
@@ -136,19 +134,10 @@ def build_divider(params: DividerParams) -> tuple[Circuit, DividerLayout]:
     n, adder, kind = params.n, params.adder, params.kind
     m = n + 1
     sub = wrap_subtractor(adder, m)
-
-    # allocation order is wire order: the non-restoring control s follows
-    # the quotient register, the restoring carry-in z precedes it, and a
-    # restoring quotient register holds n-1 wires because iteration 2's
-    # carry-out recycles the top of window 1
-    if kind == NON_RESTORING:
-        sizes = (("rq", 2 * n), ("d", m), ("q", n), ("s", 1))
-    else:
-        sizes = (("rq", 2 * n), ("d", m), ("z", 1), ("q", n - 1))
     c = Circuit()
     regs = {
         name: c.new_register(name, size)
-        for name, size in (*sizes, ("anc", len(sub.ancillas)))
+        for name, size in (*register_sizes(kind, n), ("anc", len(sub.ancillas)))
         if size
     }
     d = regs["d"].qubits
@@ -280,8 +269,8 @@ def expected_final_state(
 def run_division(
     circuit: Circuit, layout: DividerLayout, dividend: int, divisor: int
 ) -> tuple[int, int]:
-    """One division on the circuit, checked: q*b + r = a with r < b, and
-    every wire as the classical trace predicts, or a ``ValueError``."""
+    """One division on the circuit, checked as :func:`verify_exhaustive`
+    checks each of its lanes, or a ``ValueError`` naming what is wrong."""
     n = layout.n
     if divisor == 0:
         raise ZeroDivisionError("divisor must be non-zero")
@@ -289,32 +278,15 @@ def run_division(
         raise ValueError(f"dividend {dividend} out of range for n={n}")
     if not 1 <= divisor < (1 << n):
         raise ValueError(f"divisor {divisor} out of range for n={n}")
-    state = [0] * circuit.qubit_count
-    encode_register(layout.dividend_qubits, dividend, state)
-    encode_register(layout.divisor_qubits, divisor, state)
-    out = apply(circuit, state)
-    expected = expected_final_state(circuit, layout, dividend, divisor)
-    failure = _lane_failure(layout, dividend, divisor, out, expected)
-    if failure:
-        raise ValueError(failure)
+    a = encode_register(range(n), dividend, [0] * n)
+    b = encode_register(range(n), divisor, [0] * n)
+    out, report = _check_divisions(circuit, layout, a, b, 1)
+    if not report.ok:
+        raise ValueError(report.first_failure)
     return (
         decode_register(out, layout.quotient_positions),
         decode_register(out, layout.remainder_positions),
     )
-
-
-def _lane_failure(
-    layout: DividerLayout, dividend: int, divisor: int, lane: list[int], expected: list[int]
-) -> str | None:
-    """What is wrong with one division's terminal state, or None."""
-    q = decode_register(lane, layout.quotient_positions)
-    r = decode_register(lane, layout.remainder_positions)
-    if q * divisor + r != dividend or r >= divisor:
-        want_q, want_r = divmod(dividend, divisor)
-        return f"a={dividend} b={divisor}: got q={q} r={r}, want q={want_q} r={want_r}"
-    if lane != expected:
-        return f"a={dividend} b={divisor}: terminal state mismatch"
-    return None
 
 
 @dataclass
@@ -326,6 +298,53 @@ class VerificationReport:
     @property
     def ok(self) -> bool:
         return self.total > 0 and self.passed == self.total
+
+
+def _check_divisions(
+    circuit: Circuit, layout: DividerLayout, a: list[int], b: list[int], ones: int
+) -> tuple[list[int], VerificationReport]:
+    """Run the division of each lane of the dividend planes ``a`` by the
+    divisor planes ``b`` and check it: q*b + r = a with r < b, and every
+    wire as the classical trace predicts.
+
+    ``ones`` has a bit set for every lane.  Returns the terminal planes and
+    a report whose first failure is the lowest failing lane's.
+    """
+    n = layout.n
+    state = [0] * circuit.qubit_count
+    for p, v in zip(layout.dividend_qubits + layout.divisor_qubits, a + b):
+        state[p] = v
+    out = apply_planes(circuit, state, ones)
+
+    # q*b + r = a with r < b pins (q, r) to divmod(a, b), independently of
+    # the circuit's algorithm; q*b + r < 2^(2n), so 2n planes hold it
+    q = [out[p] for p in layout.quotient_positions]
+    r = [out[p] for p in layout.remainder_positions]
+    acc = r + [0] * n
+    for j, qj in enumerate(q):
+        if qj:  # a zero plane adds nothing
+            acc[j:], _ = _ripple_add(acc[j:], [bi & qj for bi in b] + [0] * (n - j), 0)
+    _, wrong = _ripple_add(r, [bi ^ ones for bi in b], ones)  # r >= b
+    for got, want in zip(acc, a + [0] * n):
+        wrong |= got ^ want
+    bad = wrong
+    for got, want in zip(out, _expected_planes(circuit.qubit_count, layout, a, b, ones)):
+        bad |= got ^ want
+
+    lanes = ones.bit_count()
+    report = VerificationReport(total=lanes, passed=lanes - bad.bit_count())
+    if bad:
+        k = (bad & -bad).bit_length() - 1
+        x, y, got_q, got_r = (
+            sum(((p >> k) & 1) << i for i, p in enumerate(planes)) for planes in (a, b, q, r)
+        )
+        if (wrong >> k) & 1:
+            report.first_failure = (
+                f"a={x} b={y}: got q={got_q} r={got_r}, want q={x // y} r={x % y}"
+            )
+        else:
+            report.first_failure = f"a={x} b={y}: terminal state mismatch"
+    return out, report
 
 
 def _index_plane(j: int, bits: int) -> int:
@@ -350,42 +369,8 @@ def verify_exhaustive(
     circuit, layout = build_divider(params)
     # lane index b*2^n + a over every b, then the b=0 lanes are shifted out
     index = [_index_plane(j, 2 * n) >> (1 << n) for j in range(2 * n)]
-    a, b = index[:n], index[n:]
-    lanes = ((1 << n) - 1) << n
-    ones = (1 << lanes) - 1
-
-    state = [0] * circuit.qubit_count
-    for p, v in zip(layout.dividend_qubits + layout.divisor_qubits, index):
-        state[p] = v
-    out = apply_planes(circuit, state, ones)
-
-    # q*b + r = a with r < b pins (q, r) to divmod(a, b), independently of
-    # the circuit's algorithm; q*b + r < 2^(2n), so 2n planes hold it
-    q = [out[p] for p in layout.quotient_positions]
-    r = [out[p] for p in layout.remainder_positions]
-    acc = r + [0] * n
-    for j, qj in enumerate(q):
-        acc[j:], _ = _ripple_add(acc[j:], [bi & qj for bi in b] + [0] * (n - j), 0)
-    _, bad = _ripple_add(r, [bi ^ ones for bi in b], ones)  # r >= b
-    for got, want in zip(acc, a + [0] * n):
-        bad |= got ^ want
-    expected = _expected_planes(circuit.qubit_count, layout, a, b, ones)
-    for got, want in zip(out, expected):
-        bad |= got ^ want
-
-    report = VerificationReport(total=lanes, passed=lanes - bad.bit_count())
-    if bad:
-        k = (bad & -bad).bit_length() - 1
-        # the failing lane's division, read from its input planes
-        inputs = [(p >> k) & 1 for p in index]
-        report.first_failure = _lane_failure(
-            layout,
-            decode_register(inputs, range(n)),
-            decode_register(inputs, range(n, 2 * n)),
-            [(p >> k) & 1 for p in out],
-            [(p >> k) & 1 for p in expected],
-        )
-    return report
+    ones = (1 << (((1 << n) - 1) << n)) - 1
+    return _check_divisions(circuit, layout, index[:n], index[n:], ones)[1]
 
 
 def make_params(n: int, adder_name: str, kind: str) -> DividerParams:

@@ -5,8 +5,15 @@ import re
 
 import pytest
 
+from revdiv import divider
 from revdiv.cli import main
-from revdiv.divider import EXHAUSTIVE_LIMIT, KINDS, build_divider, make_params
+from revdiv.divider import (
+    EXHAUSTIVE_LIMIT,
+    KINDS,
+    NON_RESTORING,
+    build_divider,
+    make_params,
+)
 from revdiv.qasm import export_text
 
 
@@ -93,6 +100,30 @@ def test_verify_limit(capsys):
     rc = main(["verify", "--n", str(n), "--adder", "cuccaro", "--kind", "nonrestoring"])
     assert rc == 1
     assert "exceeds exhaustive limit" in capsys.readouterr().err
+
+
+def test_verify_failure_names_the_first_wrong_division(monkeypatch, capsys):
+    def faulty_build(params):
+        c, layout = build_divider(params)
+        del c.gates[next(i for i, g in enumerate(c.gates) if g.name == "ccx")]
+        return c, layout
+
+    monkeypatch.setattr(divider, "build_divider", faulty_build)
+    c, layout = faulty_build(make_params(3, "cuccaro", NON_RESTORING))
+    passed, errors = 0, []
+    for b in range(1, 8):
+        for a in range(8):
+            try:
+                divider.run_division(c, layout, a, b)
+                passed += 1
+            except ValueError as exc:
+                errors.append(str(exc))
+    assert errors
+    rc = main(["verify", "--n", "3", "--adder", "cuccaro", "--kind", "nonrestoring"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == f"{passed}/56 pass\n"
+    assert captured.err == f"first failure: {errors[0]}\n"
 
 
 def test_simulate(tmp_path, capsys):
@@ -218,15 +249,17 @@ def test_simulate_on_mutants_is_right_or_an_error(tmp_path, capsys, kind, adder)
 
 
 @pytest.mark.parametrize(
-    "registers",
+    "registers, register",
     [
-        "qubit[4] rq;\nqubit[3] d;\nqubit[1] s;\n",  # no quotient register
-        "qubit[4] rq;\nqubit[3] d;\nqubit[2] q;\nqubit[0] s;\n",  # empty sign
-        "qubit[4] rq;\nqubit[3] d;\nqubit[1] z;\nqubit[5] q;\n",  # restoring needs q[1]
+        ("qubit[4] rq;\nqubit[3] d;\nqubit[1] s;\n", "q"),  # no quotient register
+        ("qubit[4] rq;\nqubit[3] d;\nqubit[2] q;\nqubit[0] s;\n", "s"),  # empty sign
+        ("qubit[4] rq;\nqubit[3] d;\nqubit[1] z;\nqubit[5] q;\n", "q"),  # restoring needs q[1]
+        ("qubit[4] rq;\nqubit[2] d;\nqubit[2] q;\nqubit[1] s;\n", "d"),  # n=2 needs d[3]
+        ("qubit[5] rq;\nqubit[3] d;\nqubit[2] q;\nqubit[1] s;\n", "rq"),  # odd rq
     ],
-    ids=["missing_q", "empty_s", "oversized_q"],
+    ids=["missing_q", "empty_s", "oversized_q", "short_d", "odd_rq"],
 )
-def test_simulate_rejects_malformed_divider(tmp_path, capsys, registers):
+def test_simulate_rejects_malformed_divider(tmp_path, capsys, registers, register):
     bad = tmp_path / "bad.qasm"
     bad.write_text("OPENQASM 3.0;\n" + registers)
     rc = main(["simulate", "--circuit", str(bad), "--dividend", "3",
@@ -235,6 +268,7 @@ def test_simulate_rejects_malformed_divider(tmp_path, capsys, registers):
     assert rc == 1
     assert captured.out == ""
     assert captured.err.startswith("error: not a divider circuit:")
+    assert f" in register {register!r}, found " in captured.err
 
 
 def test_table_csv(capsys):

@@ -210,9 +210,11 @@ def _drop_middle_gate(gates):
 
 
 def _verify_lane_by_lane(c, layout):
-    """Reference sweep: one simulation per division, in lane order."""
+    """Reference sweep: one simulation per division, in lane order.
+
+    Returns each lane's (a, b, failure message or None)."""
     n = layout.n
-    passed, first = 0, None
+    lanes = []
     for b in range(1, 1 << n):
         for a in range(1 << n):
             state = [0] * c.qubit_count
@@ -221,15 +223,13 @@ def _verify_lane_by_lane(c, layout):
             out = apply(c, state)
             q = decode_register(out, layout.quotient_positions)
             r = decode_register(out, layout.remainder_positions)
+            msg = None
             if (q, r) != divmod(a, b):
                 msg = f"a={a} b={b}: got q={q} r={r}, want q={a // b} r={a % b}"
             elif out != expected_final_state(c, layout, a, b):
                 msg = f"a={a} b={b}: terminal state mismatch"
-            else:
-                passed += 1
-                continue
-            first = first or msg
-    return passed, first
+            lanes.append((a, b, msg))
+    return lanes
 
 
 @pytest.mark.parametrize("fault", [_drop_first_toffoli, _drop_middle_gate])
@@ -244,9 +244,21 @@ def test_sliced_verification_matches_lane_by_lane(monkeypatch, fault, kind, adde
 
     monkeypatch.setattr(divider, "build_divider", faulty_build)
     report = verify_exhaustive(make_params(n, adder, kind))
-    passed, first = _verify_lane_by_lane(*faulty_build(make_params(n, adder, kind)))
-    assert passed < report.total
-    assert (report.passed, report.first_failure) == (passed, first)
+    c, layout = faulty_build(make_params(n, adder, kind))
+    lanes = _verify_lane_by_lane(c, layout)
+    failures = [msg for _, _, msg in lanes if msg]
+    assert failures
+    assert (report.total, report.passed, report.first_failure) == (
+        len(lanes), len(lanes) - len(failures), failures[0]
+    )
+    # run_division is the one-lane case of the same check
+    for a, b, msg in lanes:
+        if msg is None:
+            assert run_division(c, layout, a, b) == divmod(a, b)
+            continue
+        with pytest.raises(ValueError) as exc:
+            run_division(c, layout, a, b)
+        assert str(exc.value) == msg
 
 
 def _line98_mutant():
