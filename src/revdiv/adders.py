@@ -4,15 +4,17 @@ Fragments name their wires by role (``a``, ``b``, ``carry_in``, ``carry_out``
 where present, ancillas), and :meth:`AdderFragment.place` copies them onto
 host wires by role.  Every adder computes |a>|b> -> |a>|a+b+cin mod 2^m>
 with the overflow bit XORed onto ``carry_out``; ``a``, ``carry_in`` and all
-internal ancillas come back to their input values.
+internal ancillas come back to their input values.  The two wrappers are the
+adder's own fragment with flips placed around its gates, so they keep its
+wire layout and roles.
 """
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .circuit import Circuit, CircuitError, Template, ccx, cx, x
+from .circuit import Circuit, CircuitError, Gate, Template, ccx, cx, x
 
 
 @dataclass(frozen=True)
@@ -57,19 +59,18 @@ class AdderBuilder:
     build: Callable[[int], AdderFragment]
 
 
-def _adder_shell(m: int, n_anc: int) -> tuple[Circuit, AdderFragment]:
+def _adder_shell(m: int, n_anc: int, carry_out: bool = True) -> AdderFragment:
+    """An empty fragment: registers a, b, cin, then cout if ``carry_out``,
+    then ``n_anc`` ancillas.  Every fragment's wires are allocated here."""
     if m < 1:
         raise ValueError("operand width must be >= 1")
     c = Circuit()
-    a = c.new_register("a", m)
-    b = c.new_register("b", m)
+    a = c.new_register("a", m).qubits
+    b = c.new_register("b", m).qubits
     cin = c.new_register("cin", 1)[0]
-    cout = c.new_register("cout", 1)[0]
-    anc: tuple[int, ...] = ()
-    if n_anc:
-        anc = c.new_register("anc", n_anc).qubits
-    frag = AdderFragment(c, a.qubits, b.qubits, cin, cout, anc)
-    return c, frag
+    cout = c.new_register("cout", 1)[0] if carry_out else None
+    anc = c.new_register("anc", n_anc).qubits if n_anc else ()
+    return AdderFragment(c, a, b, cin, cout, anc)
 
 
 def build_cuccaro(m: int) -> AdderFragment:
@@ -78,8 +79,8 @@ def build_cuccaro(m: int) -> AdderFragment:
     Bits 0..m-2 ripple the carry into the a-wires; the top bit writes its
     sum and the overflow with a single Toffoli.
     """
-    c, frag = _adder_shell(m, 0)
-    a, b, cin, cout = frag.a, frag.b, frag.carry_in, frag.carry_out
+    frag = _adder_shell(m, 0)
+    c, a, b, cin, cout = frag.circuit, frag.a, frag.b, frag.carry_in, frag.carry_out
 
     carries = [cin] + list(a[:-1])  # wire holding carry into bit i
     for i in range(m - 1):
@@ -108,8 +109,8 @@ def build_vbe(m: int) -> AdderFragment:
 
     Uses m-1 internal carry wires, all returned to 0.
     """
-    c, frag = _adder_shell(m, m - 1)
-    a, b, cin, cout = frag.a, frag.b, frag.carry_in, frag.carry_out
+    frag = _adder_shell(m, m - 1)
+    c, a, b, cin, cout = frag.circuit, frag.a, frag.b, frag.carry_in, frag.carry_out
     carry = [cin] + list(frag.ancillas) + [cout]  # carry[i] = carry into bit i
 
     def carry_fwd(i):
@@ -149,6 +150,13 @@ def get_adder(name: str) -> AdderBuilder:
         raise ValueError(f"unknown adder {name!r}; choose from {sorted(ADDERS)}")
 
 
+def _around(frag: AdderFragment, before: list[Gate], after: list[Gate]) -> AdderFragment:
+    """``frag`` with ``before`` placed ahead of its gates and ``after`` behind them."""
+    c = frag.circuit
+    gates = [*before, *c.gates, *after]
+    return replace(frag, circuit=Circuit(c.qubit_count, list(c.registers), gates))
+
+
 def wrap_subtractor(adder: AdderBuilder, m: int) -> AdderFragment:
     """Turn an adder into |a>|b> -> |a>|b-a mod 2^m>.
 
@@ -157,16 +165,9 @@ def wrap_subtractor(adder: AdderBuilder, m: int) -> AdderFragment:
     its input value, and the carry-out receives the no-borrow flag
     (1 iff b >= a).  No Toffoli gates beyond the wrapped adder.
     """
-    inner = adder.build(m)
-    c, frag = _adder_shell(m, len(inner.ancillas))
-    c.append(x(frag.carry_in))
-    for q in frag.a:
-        c.append(x(q))
-    inner.place(c, frag.a, frag.b, frag.carry_in, frag.carry_out, frag.ancillas)
-    for q in frag.a:
-        c.append(x(q))
-    c.append(x(frag.carry_in))
-    return frag
+    frag = adder.build(m)
+    flips = list(map(x, frag.a))
+    return _around(frag, [x(frag.carry_in), *flips], [*flips, x(frag.carry_in)])
 
 
 def wrap_add_sub(adder: AdderBuilder, m: int) -> AdderFragment:
@@ -177,14 +178,9 @@ def wrap_add_sub(adder: AdderBuilder, m: int) -> AdderFragment:
     carry-out is the addition overflow, resp. the no-borrow flag; in both
     cases it reads 1 exactly when the signed result is non-negative.
     """
-    inner = adder.build(m)
-    c, frag = _adder_shell(m, len(inner.ancillas))
-    for q in frag.a:
-        c.append(cx(frag.carry_in, q))
-    inner.place(c, frag.a, frag.b, frag.carry_in, frag.carry_out, frag.ancillas)
-    for q in frag.a:
-        c.append(cx(frag.carry_in, q))
-    return frag
+    frag = adder.build(m)
+    flips = [cx(frag.carry_in, q) for q in frag.a]
+    return _around(frag, flips, flips)
 
 
 def build_cond_add(m: int) -> AdderFragment:
@@ -194,13 +190,8 @@ def build_cond_add(m: int) -> AdderFragment:
     writes are controlled, then the carries are uncomputed: 3(m-1)+1
     Toffolis, no ancilla, no carry wires.
     """
-    if m < 1:
-        raise ValueError("operand width must be >= 1")
-    c = Circuit()
-    a = c.new_register("a", m).qubits
-    b = c.new_register("b", m).qubits
-    ctrl = c.new_register("ctrl", 1)[0]
-
+    frag = _adder_shell(m, 0, carry_out=False)
+    c, a, b, ctrl = frag.circuit, frag.a, frag.b, frag.carry_in
     for i in range(1, m):
         c.append(cx(a[i], b[i]))
     for i in range(m - 2, 0, -1):
@@ -215,4 +206,4 @@ def build_cond_add(m: int) -> AdderFragment:
         c.append(cx(a[i], a[i + 1]))
     for i in range(1, m):
         c.append(cx(a[i], b[i]))
-    return AdderFragment(c, a, b, ctrl, None, ())
+    return frag

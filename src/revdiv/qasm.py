@@ -21,9 +21,11 @@ HEADER = "OPENQASM 3.0;"
 # so the cap bounds that at about 164 MB; an n=128 divider declares 641.
 MAX_WIRES = 2**20
 
+# a register name; export writes only names that import reads back
+_IDENT = r"[A-Za-z_][A-Za-z_0-9]*"
 # sizes and indices have at most 18 digits: int() may refuse a longer one
-_DECL_RE = re.compile(r"^qubit\[(\d{1,18})\]\s+([A-Za-z_][A-Za-z_0-9]*)\s*;$", re.ASCII)
-_OPERAND_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)\[(\d{1,18})\]$", re.ASCII)
+_DECL_RE = re.compile(rf"^qubit\[(\d{{1,18}})\]\s+({_IDENT})\s*;$", re.ASCII)
+_OPERAND_RE = re.compile(rf"^({_IDENT})\[(\d{{1,18}})\]$", re.ASCII)
 
 
 class QasmExportError(ValueError):
@@ -50,7 +52,13 @@ def export_text(circuit: Circuit) -> str:
         order.append((start, i))
     regs = [circuit.registers[i] for _, i in sorted(order)]
     covered: list[int] = []
+    names: set[str] = set()
     for r in regs:
+        if not re.fullmatch(_IDENT, r.name, re.ASCII):
+            raise QasmExportError(f"register name {r.name!r} is not an ASCII identifier")
+        if r.name in names:
+            raise QasmExportError(f"register name {r.name!r} is repeated")
+        names.add(r.name)
         if r.qubits and list(r.qubits) != list(range(r.qubits[0], r.qubits[0] + len(r))):
             raise QasmExportError(f"register {r.name!r} is not contiguous")
         covered.extend(r.qubits)

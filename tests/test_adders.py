@@ -9,7 +9,7 @@ from revdiv.adders import (
     wrap_add_sub,
     wrap_subtractor,
 )
-from revdiv.circuit import Circuit, CircuitError, measure
+from revdiv.circuit import Circuit, CircuitError, cx, measure, x
 from revdiv.sim import apply, decode_register, encode_register
 
 
@@ -75,12 +75,36 @@ def test_subtractor_exhaustive(name, m):
             assert all(out[q] == 0 for q in frag.ancillas)
 
 
-def test_subtractor_adds_no_toffolis():
-    for name in ("cuccaro", "vbe"):
-        m = 4
-        inner = measure(get_adder(name).build(m).circuit)
-        outer = measure(wrap_subtractor(get_adder(name), m).circuit)
-        assert outer.toffoli_count == inner.toffoli_count
+def _subtractor_flips(frag):
+    flips = [x(q) for q in frag.a]
+    return [x(frag.carry_in), *flips], [*flips, x(frag.carry_in)]
+
+
+def _add_sub_flips(frag):
+    flips = [cx(frag.carry_in, q) for q in frag.a]
+    return flips, flips
+
+
+def _roles(frag):
+    return frag.a, frag.b, frag.carry_in, frag.carry_out, frag.ancillas
+
+
+@pytest.mark.parametrize(
+    "wrap, flips",
+    [(wrap_subtractor, _subtractor_flips), (wrap_add_sub, _add_sub_flips)],
+    ids=["subtractor", "add_sub"],
+)
+@pytest.mark.parametrize("name", ["cuccaro", "vbe"])
+def test_subtractor_adds_no_toffolis(name, wrap, flips):
+    """A wrapper is the adder's own fragment, its gates between NOT/CNOT flips."""
+    m = 4
+    adder = get_adder(name).build(m)
+    wrapped = wrap(get_adder(name), m)
+    before, after = flips(adder)
+    assert wrapped.circuit.gates == [*before, *adder.circuit.gates, *after]
+    assert {g.name for g in before + after} <= {"x", "cx"}
+    assert _roles(wrapped) == _roles(adder)
+    assert wrapped.circuit.qubit_count == adder.circuit.qubit_count
 
 
 @pytest.mark.parametrize("name", ["cuccaro", "vbe"])

@@ -3,11 +3,13 @@ import hashlib
 import pytest
 
 from revdiv import divider
-from revdiv.circuit import Gate, measure
+from revdiv.adders import AdderBuilder, AdderFragment, get_adder
+from revdiv.circuit import Circuit, Gate, Template, measure
 from revdiv.divider import (
     KINDS,
     NON_RESTORING,
     RESTORING,
+    DividerParams,
     build_divider,
     expected_final_state,
     layout_from_circuit,
@@ -50,6 +52,37 @@ def test_run_division_input_validation(kind):
         run_division(c, layout, 8, 1)
     with pytest.raises(ValueError):
         run_division(c, layout, 3, 8)
+
+
+def _on_reversed_wires(builder: AdderBuilder) -> AdderBuilder:
+    """``builder`` re-laid so fragment wire k moves to wire count-1-k, each
+    role following its wires."""
+    def build(m: int) -> AdderFragment:
+        frag = builder.build(m)
+        rev = list(range(frag.circuit.qubit_count))[::-1]
+        c = Circuit()
+        c.new_register("w", len(rev))
+        c.extend(Template.of(frag.circuit), rev)
+        cout = None if frag.carry_out is None else rev[frag.carry_out]
+        return AdderFragment(
+            c, tuple(rev[q] for q in frag.a), tuple(rev[q] for q in frag.b),
+            rev[frag.carry_in], cout, tuple(rev[q] for q in frag.ancillas),
+        )
+
+    return AdderBuilder(f"reversed-{builder.name}", build)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("adder", ADDER_NAMES)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_adder_on_reversed_wires(kind, adder, n):
+    """The divider places its sub-circuits by role, so an adder whose roles
+    are not in wire order builds the same divider."""
+    plain = DividerParams(n, get_adder(adder), kind)
+    reversed_ = DividerParams(n, _on_reversed_wires(get_adder(adder)), kind)
+    assert export_text(build_divider(reversed_)[0]) == export_text(build_divider(plain)[0])
+    report = verify_exhaustive(reversed_)
+    assert report.ok, report.first_failure
 
 
 @pytest.mark.parametrize("kind", KINDS)

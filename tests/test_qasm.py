@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -248,10 +250,30 @@ def test_export_ignores_gate_sharing(kind, adder):
     assert export_text(unshared) == export_text(c)
 
 
-def test_export_rejects_gapped_registers():
-    c = Circuit(qubit_count=3, registers=[Register("a", (0, 2))])
-    with pytest.raises(QasmExportError):
-        export_text(c)
+def _named(name: str) -> Circuit:
+    c = Circuit()
+    c.new_register(name, 2)
+    return c
+
+
+@pytest.mark.parametrize(
+    "circuit, name",
+    [
+        pytest.param(Circuit(qubit_count=3, registers=[Register("a", (0, 2))]), "a", id="gapped"),
+        # import reads none of these names back, or reads them onto other wires
+        pytest.param(_named("my reg"), "my reg", id="space"),
+        pytest.param(_named("r\u00e9g"), "r\u00e9g", id="non-ascii"),
+        pytest.param(_named("0a"), "0a", id="leading-digit"),
+        pytest.param(_named("a\n"), "a\n", id="trailing-newline"),
+        pytest.param(_named(""), "", id="empty"),
+        pytest.param(
+            Circuit(2, [Register("a", (0,)), Register("a", (1,))], [cx(0, 1)]), "a", id="repeated"
+        ),
+    ],
+)
+def test_export_rejects_gapped_registers(circuit, name):
+    with pytest.raises(QasmExportError, match=re.escape(repr(name))):
+        export_text(circuit)
 
 
 @st.composite
