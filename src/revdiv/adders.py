@@ -4,9 +4,9 @@ Fragments name their wires by role (``a``, ``b``, ``carry_in``, ``carry_out``
 where present, ancillas), and :meth:`AdderFragment.place` copies them onto
 host wires by role.  Every adder computes |a>|b> -> |a>|a+b+cin mod 2^m>
 with the overflow bit XORed onto ``carry_out``; ``a``, ``carry_in`` and all
-internal ancillas come back to their input values.  The two wrappers are the
-adder's own fragment with flips placed around its gates, so they keep its
-wire layout and roles.
+internal ancillas come back to their input values.  The two wrappers take a
+built adder fragment and return a copy with flips placed around its gates,
+so one build serves both and each keeps its wire layout and roles.
 """
 from __future__ import annotations
 
@@ -151,26 +151,25 @@ def get_adder(name: str) -> AdderBuilder:
 
 
 def _around(frag: AdderFragment, before: list[Gate], after: list[Gate]) -> AdderFragment:
-    """``frag`` with ``before`` placed ahead of its gates and ``after`` behind them."""
+    """A copy of ``frag``, ``before`` ahead of its gates and ``after`` behind them."""
     c = frag.circuit
     gates = [*before, *c.gates, *after]
     return replace(frag, circuit=Circuit(c.qubit_count, list(c.registers), gates))
 
 
-def wrap_subtractor(adder: AdderBuilder, m: int) -> AdderFragment:
-    """Turn an adder into |a>|b> -> |a>|b-a mod 2^m>.
+def wrap_subtractor(frag: AdderFragment) -> AdderFragment:
+    """Turn a built adder into |a>|b> -> |a>|b-a mod 2^m>.
 
     The subtrahend wires are complemented around the adder and the carry-in
     is driven high (b - a = b + ~a + 1); the carry-in wire is returned to
     its input value, and the carry-out receives the no-borrow flag
     (1 iff b >= a).  No Toffoli gates beyond the wrapped adder.
     """
-    frag = adder.build(m)
     flips = list(map(x, frag.a))
     return _around(frag, [x(frag.carry_in), *flips], [*flips, x(frag.carry_in)])
 
 
-def wrap_add_sub(adder: AdderBuilder, m: int) -> AdderFragment:
+def wrap_add_sub(frag: AdderFragment) -> AdderFragment:
     """Controlled adder-subtractor: the control is the carry-in.
 
     Control 0: |a>|b> -> |a>|a+b mod 2^m>.  Control 1: the subtrahend wires
@@ -178,7 +177,6 @@ def wrap_add_sub(adder: AdderBuilder, m: int) -> AdderFragment:
     carry-out is the addition overflow, resp. the no-borrow flag; in both
     cases it reads 1 exactly when the signed result is non-negative.
     """
-    frag = adder.build(m)
     flips = [cx(frag.carry_in, q) for q in frag.a]
     return _around(frag, flips, flips)
 

@@ -133,11 +133,12 @@ def build_divider(params: DividerParams) -> tuple[Circuit, DividerLayout]:
     writes its carry-out, the quotient bit, to wire ``quotient_positions[n-i]``."""
     n, adder, kind = params.n, params.adder, params.kind
     m = n + 1
-    sub = wrap_subtractor(adder, m)
+    frag = adder.build(m)  # the one adder build; both wrappers copy it
+    sub = wrap_subtractor(frag)
     c = Circuit()
     regs = {
         name: c.new_register(name, size)
-        for name, size in (*register_sizes(kind, n), ("anc", len(sub.ancillas)))
+        for name, size in (*register_sizes(kind, n), ("anc", len(frag.ancillas)))
         if size
     }
     d = regs["d"].qubits
@@ -155,7 +156,7 @@ def build_divider(params: DividerParams) -> tuple[Circuit, DividerLayout]:
         sub.place(c, d, windows[0], couts[1] if n >= 2 else s, couts[0], anc)
         # Step 2: controlled adder-subtractors; the previous quotient bit is
         # both control and carry-in.
-        addsub = wrap_add_sub(adder, m) if n >= 2 else None
+        addsub = wrap_add_sub(frag)
         for i in range(1, n):
             addsub.place(c, d, windows[i], couts[i - 1], couts[i], anc)
         # Step 3: copy the final sign onto the control wire and conditionally

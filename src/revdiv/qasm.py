@@ -62,8 +62,8 @@ def export_text(circuit: Circuit) -> str:
         if r.qubits and list(r.qubits) != list(range(r.qubits[0], r.qubits[0] + len(r))):
             raise QasmExportError(f"register {r.name!r} is not contiguous")
         covered.extend(r.qubits)
-    if covered != list(range(circuit.qubit_count)):
-        raise QasmExportError("registers must tile all qubits exactly once")
+    if not regs or covered != list(range(circuit.qubit_count)):
+        raise QasmExportError("one or more registers must tile all qubits exactly once")
 
     # the registers tile the wires in order, so wire q's name is refs[q]
     refs = [f"{r.name}[{i}]" for r in regs for i in range(len(r.qubits))]

@@ -127,9 +127,9 @@ def _random_fragment(rng: random.Random) -> Circuit:
     if pick == 0:
         return adder.build(m).circuit
     if pick == 1:
-        return wrap_subtractor(adder, m).circuit
+        return wrap_subtractor(adder.build(m)).circuit
     if pick == 2:
-        return wrap_add_sub(adder, m).circuit
+        return wrap_add_sub(adder.build(m)).circuit
     if pick == 3:
         return build_cond_add(m).circuit
     n = rng.randint(1, 4)

@@ -64,7 +64,7 @@ def test_adder_registry():
 @pytest.mark.parametrize("name", ["cuccaro", "vbe"])
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_subtractor_exhaustive(name, m):
-    frag = wrap_subtractor(get_adder(name), m)
+    frag = wrap_subtractor(get_adder(name).build(m))
     for a in range(1 << m):
         for b in range(1 << m):
             out = _run_adder(frag, a, b, 0)
@@ -96,21 +96,32 @@ def _roles(frag):
 )
 @pytest.mark.parametrize("name", ["cuccaro", "vbe"])
 def test_subtractor_adds_no_toffolis(name, wrap, flips):
-    """A wrapper is the adder's own fragment, its gates between NOT/CNOT flips."""
+    """A wrapper is the adder's own fragment, its gates between NOT/CNOT
+    flips, and it leaves that fragment as built, so a divider can wrap one
+    built adder with both wrappers."""
     m = 4
     adder = get_adder(name).build(m)
-    wrapped = wrap(get_adder(name), m)
+    wrapped = wrap(adder)
     before, after = flips(adder)
-    assert wrapped.circuit.gates == [*before, *adder.circuit.gates, *after]
+    want = [*before, *adder.circuit.gates, *after]
+    assert wrapped.circuit.gates == want
     assert {g.name for g in before + after} <= {"x", "cx"}
     assert _roles(wrapped) == _roles(adder)
     assert wrapped.circuit.qubit_count == adder.circuit.qubit_count
+    # then the other wrapper, on the same fragment
+    other = wrap_add_sub if wrap is wrap_subtractor else wrap_subtractor
+    again = other(adder)
+    fresh = get_adder(name).build(m)
+    assert adder.circuit.gates == fresh.circuit.gates
+    assert adder.circuit.registers == fresh.circuit.registers
+    assert wrapped.circuit.gates == want
+    assert _roles(again) == _roles(wrapped) == _roles(adder) == _roles(fresh)
 
 
 @pytest.mark.parametrize("name", ["cuccaro", "vbe"])
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_add_sub_both_branches(name, m):
-    frag = wrap_add_sub(get_adder(name), m)
+    frag = wrap_add_sub(get_adder(name).build(m))
     for a in range(1 << m):
         for b in range(1 << m):
             for ctrl in (0, 1):

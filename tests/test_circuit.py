@@ -168,7 +168,7 @@ def test_extend_is_the_naive_remap(case):
 
 @pytest.mark.parametrize("adder", sorted(ADDERS))
 def test_placed_fragment_matches_extend_of_its_circuit(adder):
-    frag = wrap_add_sub(ADDERS[adder], 5)
+    frag = wrap_add_sub(ADDERS[adder].build(5))
     n = 6
     width = frag.circuit.qubit_count
     placed, extended = Circuit(), Circuit()

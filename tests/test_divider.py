@@ -87,6 +87,19 @@ def test_adder_on_reversed_wires(kind, adder, n):
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("adder", ADDER_NAMES)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_divider_builds_its_adder_once(kind, adder, n):
+    """Both wrappers of a divider wrap the one adder fragment it builds."""
+    plain = get_adder(adder)
+    widths = []
+    counting = AdderBuilder(adder, lambda m: widths.append(m) or plain.build(m))
+    circuit, _ = build_divider(DividerParams(n, counting, kind))
+    assert widths == [n + 1]
+    assert export_text(circuit) == export_text(build_divider(DividerParams(n, plain, kind))[0])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("adder", ADDER_NAMES)
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_qubit_budget(kind, adder, n):
     c, _ = build_divider(make_params(n, adder, kind))

@@ -234,6 +234,19 @@ def test_imported_empty_register_exports_in_place():
     assert export_text(import_text(text)) == text
 
 
+def test_export_refuses_a_circuit_without_registers():
+    # import refuses text that declares no register, so export writes none
+    with pytest.raises(QasmExportError, match="^one or more registers must tile all qubits"):
+        export_text(Circuit())
+    with pytest.raises(QasmParseError, match="^line 1: missing register declarations$"):
+        import_text(f"{HEADER}\n")
+    # one empty register is a declaration, and it round-trips
+    c = Circuit()
+    c.new_register("a", 0)
+    assert export_text(c) == f"{HEADER}\nqubit[0] a;\n"
+    assert import_text(export_text(c)) == c
+
+
 def test_registers_round_trip_in_wire_order():
     c = Circuit(2, [Register("b", (1,)), Register("a", (0,))], [cx(0, 1), x(1)])
     back = import_text(export_text(c))
