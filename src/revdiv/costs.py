@@ -2,8 +2,9 @@
 
 Each row gives the non-restoring divider's Toffoli depth, Toffoli count
 and qubit count as functions of the operand width n (plus a radix r for
-the higher-radix row).  Restoring costs are the same forms with
-3n^2 - 2n - 1 more Toffoli work and one fewer wire.
+the higher-radix row).  A restoring row is the rounded non-restoring row
+with the integer 3n^2 - 2n - 1 added to its Toffoli depth and count and one
+wire taken off, so it is exact wherever that row is.
 
 Two log conventions are supported.  The default evaluates base-2 logs as
 reals and rounds each final value up; the alternative floors every log
@@ -32,8 +33,8 @@ REFERENCE_BASELINE = "newton_raphson"
 
 def omega(n: int) -> int:
     """Number of ones in binary n."""
-    if n < 0:
-        raise ValueError("omega is defined for n >= 0")
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("omega is defined for integers n >= 0")
     return n.bit_count()
 
 
@@ -105,8 +106,8 @@ def _row_values(row_id: str, n: int, r: int | None, strict: bool):
         qc = 4 * n + Fraction(3 * n + 3) / L(n + 1) + 4
         return (td, tc, qc)
     if row_id == "higher_radix":
-        if r is None or not 2 < r <= n:
-            raise ValueError("higher_radix needs a radix r with 2 < r <= n")
+        if not isinstance(r, int) or not 2 < r <= n:
+            raise ValueError("higher_radix needs an integer radix r with 2 < r <= n")
         td = (
             4 * n * L(n + 1)
             + 3 * r * n
@@ -176,18 +177,15 @@ def evaluate_row(
     if radix is not None and row_id != "higher_radix":
         raise ValueError(f"only higher_radix takes a radix, not {row_id!r}")
     try:
-        td, tc, qc = _row_values(row_id, n, radix, strict=(rounding == STRICT_FLOOR))
-        if kind == RESTORING:
-            # each row is a non-restoring divider: its one conditional adder
-            # (3n+1 Toffolis) becomes one per iteration (3n^2+n), and its
-            # 4n+2 fixed wires 4n+1.  A float past 2^53 rounds at each step,
-            # so the restoring term is added first, then the other taken off.
-            td = td + (3 * n * n + n) - (3 * n + 1)
-            tc = tc + (3 * n * n + n) - (3 * n + 1)
-            qc = qc + (4 * n + 1) - (4 * n + 2)
-        return (_ceil(td), _ceil(tc), _ceil(qc))
+        td, tc, qc = map(_ceil, _row_values(row_id, n, radix, rounding == STRICT_FLOOR))
     except OverflowError:
         raise ValueError(f"{row_id} at n={n} overflows a float under {rounding}") from None
+    if kind == NON_RESTORING:
+        return (td, tc, qc)
+    # a restoring divider has a conditional adder per iteration (3n^2+n
+    # Toffolis), not one (3n+1), and 4n+1 fixed wires, not 4n+2
+    k = 3 * n * n - 2 * n - 1
+    return (td + k, tc + k, qc - 1)
 
 
 def improvement_percent(baseline: int, value: int) -> Decimal:

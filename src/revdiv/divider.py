@@ -40,7 +40,9 @@ EXHAUSTIVE_LIMIT = 10
 
 
 def check_width_and_kind(n: int, kind: str) -> None:
-    """Reject an operand width below 1 or an unknown divider kind."""
+    """Reject a width that is not an integer >= 1, or an unknown kind."""
+    if not isinstance(n, int):
+        raise ValueError(f"n must be an integer, not {n!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
     if kind not in KINDS:

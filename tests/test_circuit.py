@@ -17,6 +17,8 @@ from revdiv.circuit import (
 )
 from revdiv.divider import KINDS, build_divider, make_params
 
+from strategies import circuits
+
 
 def test_gate_validation():
     with pytest.raises(CircuitError):
@@ -136,14 +138,8 @@ def test_template_placements_share_within_not_across():
 
 @st.composite
 def fragments_and_mappings(draw):
-    width = draw(st.integers(min_value=1, max_value=8))
-    frag = Circuit()
-    frag.new_register("f", width)
-    for _ in range(draw(st.integers(min_value=0, max_value=40))):
-        arity = draw(st.integers(min_value=1, max_value=min(3, width)))
-        wires = draw(st.lists(st.integers(0, width - 1), min_size=arity, max_size=arity,
-                              unique=True))
-        frag.append(Gate({1: "x", 2: "cx", 3: "ccx"}[arity], tuple(wires)))
+    frag = draw(circuits(1, 8, 40, tiled=False))
+    width = frag.qubit_count
     host_width = draw(st.integers(min_value=width, max_value=12))
     mapping = draw(st.permutations(range(host_width)))[:width]
     return frag, host_width, mapping
@@ -269,20 +265,8 @@ def _reference_measure(c):
     return depth, count
 
 
-@st.composite
-def _random_circuits(draw):
-    width = draw(st.integers(min_value=3, max_value=8))
-    c = Circuit()
-    c.new_register("w", width)
-    for _ in range(draw(st.integers(min_value=0, max_value=60))):
-        arity = draw(st.sampled_from([1, 2, 3]))
-        wires = draw(st.permutations(range(width)))[:arity]
-        c.append({1: x, 2: cx, 3: ccx}[arity](*wires))
-    return c
-
-
 @settings(max_examples=300, deadline=None)
-@given(_random_circuits())
+@given(circuits(3, 8, 60, tiled=False))
 def test_measure_matches_reference_scheduler(c):
     rep = measure(c)
     assert (rep.toffoli_depth, rep.toffoli_count) == _reference_measure(c)

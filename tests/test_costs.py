@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,8 @@ def test_omega_values():
     assert omega(2**20 - 1) == 20
     with pytest.raises(ValueError):
         omega(-1)
+    with pytest.raises(ValueError, match="^omega is defined for integers n >= 0$"):
+        omega(2.5)
 
 
 def test_omega_matches_popcount_sample():
@@ -159,6 +162,12 @@ def test_row_errors():
         evaluate_row("higher_radix", 8, radix=9)
     with pytest.raises(ValueError, match="only higher_radix takes a radix"):
         evaluate_row("ling", 32, radix=5)
+    # a non-integer width or radix, not a wrong value or a TypeError
+    for row in ("vbe", "ling"):
+        with pytest.raises(ValueError, match="^n must be an integer, not 2.5$"):
+            evaluate_row(row, 2.5)
+    with pytest.raises(ValueError, match="^higher_radix needs an integer radix"):
+        evaluate_row("higher_radix", 8, radix=3.5)
     assert evaluate_row("higher_radix", 8, radix=3)
 
 
@@ -173,14 +182,52 @@ def test_row_matches_measured_composition(adder, n):
         assert evaluate_row(adder, n, kind=kind) == want
 
 
-@pytest.mark.parametrize("n", [4, 8, 16, 32])
-def test_restoring_deltas_all_rows(n):
+# The first widths (ceil-real-log, r = 3) where a restoring value rounded up
+# from a float of its own came out one below its exact ceiling, taken from
+# 70-digit Decimal logs: (row, n, r, index into (TD, TC, QC), exact value).
+FIRST_RESTORING_MISSES = [
+    ("takahashi_combination", 41_630, None, 0, 5_210_711_231),
+    ("ling", 110_829, None, 0, 36_856_944_463),
+    ("draper_cla", 134_628, None, 0, 54_384_055_548),
+    ("higher_radix", 178_431, 3, 1, 339_589_537_775),
+    ("takahashi_low_ancilla", 227_707, None, 0, 155_673_235_107),
+]
+
+
+def _check_restoring_delta(n, r):
+    """Each restoring row is its non-restoring row plus (k, k, -1)."""
+    k = 3 * n * n - 2 * n - 1
     for rid in ROW_IDS:
-        r = 3 if rid == "higher_radix" else None
-        non = evaluate_row(rid, n, radix=r)
-        res = evaluate_row(rid, n, radix=r, kind=RESTORING)
-        assert res[1] - non[1] == 3 * n * n + n - (3 * n + 1)
-        assert res[2] - non[2] == -1
+        radix = r if rid == "higher_radix" else None
+        for rounding in ROUNDINGS:
+            try:
+                non = evaluate_row(rid, n, radix=radix, rounding=rounding)
+            except ValueError as e:
+                assert "overflows a float" in str(e)
+                continue
+            res = evaluate_row(rid, n, radix=radix, kind=RESTORING, rounding=rounding)
+            assert res == (non[0] + k, non[1] + k, non[2] - 1), (rid, n, r, rounding)
+
+
+@pytest.mark.parametrize(
+    "n", [4, 8, 16, 32, *(n for _, n, _, _, _ in FIRST_RESTORING_MISSES), 1_960_610]
+)
+def test_restoring_deltas_all_rows(n):
+    _check_restoring_delta(n, 3)
+
+
+def test_restoring_deltas_on_sampled_widths():
+    rng = random.Random(16)
+    for _ in range(300):
+        n = rng.randrange(3, 10**12)
+        _check_restoring_delta(n, rng.choice([3, 4, rng.randrange(3, n + 1), n]))
+
+
+@pytest.mark.parametrize("row, n, r, i, exact", FIRST_RESTORING_MISSES)
+def test_restoring_row_is_exact_at_first_float_miss(row, n, r, i, exact):
+    assert evaluate_row(row, n, radix=r, kind=RESTORING)[i] == exact
+    # the non-restoring value it is derived from was already exact
+    assert evaluate_row(row, n, radix=r)[i] == exact - (3 * n * n - 2 * n - 1)
 
 
 def test_rows_positive_and_monotonic():

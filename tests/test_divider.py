@@ -32,6 +32,9 @@ def test_params_validation():
         make_params(3, "cuccaro", "fancy")
     with pytest.raises(ValueError):
         make_params(3, "nope", NON_RESTORING)
+    # checked before the build, which would fail inside on a float
+    with pytest.raises(ValueError, match="^n must be an integer, not 2.5$"):
+        make_params(2.5, "vbe", RESTORING)
 
 
 @pytest.mark.parametrize("kind", KINDS)

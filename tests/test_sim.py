@@ -11,6 +11,8 @@ from revdiv.sim import (
     encode_register,
 )
 
+from strategies import circuits
+
 
 def _single_gate(name, wires, width):
     c = Circuit()
@@ -83,13 +85,8 @@ def test_packed_agrees_with_list():
 
 @st.composite
 def _circuits_and_states(draw):
-    width = draw(st.integers(min_value=3, max_value=8))
-    c = Circuit()
-    c.new_register("w", width)
-    for _ in range(draw(st.integers(min_value=0, max_value=40))):
-        arity = draw(st.sampled_from([1, 2, 3]))
-        wires = draw(st.permutations(range(width)))[:arity]
-        c.append({1: x, 2: cx, 3: ccx}[arity](*wires))
+    c = draw(circuits(3, 8, 40, tiled=False))
+    width = c.qubit_count
     bits = st.lists(st.integers(0, 1), min_size=width, max_size=width)
     states = draw(st.lists(bits, min_size=1, max_size=70))
     return c, states
