@@ -176,24 +176,33 @@ def measure(circuit: Circuit) -> ResourceReport:
 
     Every gate waits for all earlier gates it shares a wire with.  A Toffoli
     then sits one level deeper; NOT/CNOT stay on the level they inherit, so a
-    Clifford-only circuit has depth 0.
+    Clifford-only circuit has depth 0.  One pass reads each gate's operands
+    once and dispatches on their count: a Toffoli takes the highest of its
+    three levels by two comparisons, and a CNOT copies the higher of its two
+    levels onto the other wire.
     """
     level = [0] * circuit.qubit_count
     depth = 0
     count = 0
     for g in circuit.gates:
-        name = g.name
-        if name == "ccx":
-            a, b, t = g.qubits
-            v = max(level[a], level[b], level[t]) + 1
+        q = g.qubits
+        n = len(q)
+        if n == 3:
+            a, b, t = q
+            u, v, w = level[a], level[b], level[t]
+            v = ((u if u > w else w) if u > v else (v if v > w else w)) + 1
             level[a] = level[b] = level[t] = v
             count += 1
             if v > depth:
                 depth = v
-        elif name == "cx":
-            a, t = g.qubits
-            v = level[a] if level[a] > level[t] else level[t]
-            level[a] = level[t] = v
+        elif n == 2:
+            # both wires end on the higher level; only the lower one moves
+            a, t = q
+            v, w = level[a], level[t]
+            if v > w:
+                level[t] = v
+            elif w > v:
+                level[a] = w
         # x touches one wire, so it moves no level
     return ResourceReport(
         toffoli_depth=depth,

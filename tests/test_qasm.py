@@ -297,3 +297,18 @@ def test_export_rejects_gapped_registers(circuit, name):
 @given(circuits(1, 12, 30, tiled=True))
 def test_round_trip_property(c):
     assert import_text(export_text(c)) == c
+
+
+def _reference_export(c: Circuit) -> str:
+    """Export spelled the plain way: each gate's operands joined by ", "."""
+    ref = {q: f"{r.name}[{i}]" for r in c.registers for i, q in enumerate(r.qubits)}
+    lines = [HEADER, *(f"qubit[{len(r.qubits)}] {r.name};" for r in c.registers)]
+    lines += [f"{g.name} {', '.join(ref[q] for q in g.qubits)};" for g in c.gates]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuits(1, 12, 30, tiled=True))
+def test_export_matches_reference_renderer(c):
+    # the round trip alone would accept any spelling import reads back
+    assert export_text(c) == _reference_export(c)
