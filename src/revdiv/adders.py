@@ -137,10 +137,9 @@ def build_vbe(m: int) -> AdderFragment:
     return frag
 
 
-CUCCARO = AdderBuilder("cuccaro", build_cuccaro)
-VBE = AdderBuilder("vbe", build_vbe)
-
-ADDERS = {b.name: b for b in (CUCCARO, VBE)}
+ADDERS = {
+    b.name: b for b in (AdderBuilder("cuccaro", build_cuccaro), AdderBuilder("vbe", build_vbe))
+}
 
 
 def get_adder(name: str) -> AdderBuilder:
