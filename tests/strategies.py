@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from revdiv.circuit import Circuit, Gate
 
-_NAME_OF_ARITY = {1: "x", 2: "cx", 3: "ccx"}
-
 
 @st.composite
 def circuits(draw, min_width: int, max_width: int, max_gates: int, tiled: bool) -> Circuit:
@@ -30,5 +28,5 @@ def circuits(draw, min_width: int, max_width: int, max_gates: int, tiled: bool) 
     for _ in range(draw(st.integers(0, max_gates))):
         arity = draw(st.integers(1, min(3, width)))
         wires = draw(st.lists(st.integers(0, width - 1), min_size=arity, max_size=arity, unique=True))
-        c.append(Gate(_NAME_OF_ARITY[arity], tuple(wires)))
+        c.append(Gate(tuple(wires)))
     return c

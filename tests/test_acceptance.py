@@ -177,7 +177,7 @@ def _random_circuit(rng: random.Random) -> Circuit:
     for _ in range(rng.randint(0, 25)):
         arity = rng.randint(1, min(3, width))
         wires = tuple(rng.sample(range(width), arity))
-        c.append(Gate({1: "x", 2: "cx", 3: "ccx"}[arity], wires))
+        c.append(Gate(wires))
     return c
 
 

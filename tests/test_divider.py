@@ -170,7 +170,7 @@ def test_layout_survives_qasm_round_trip(kind, n):
         for g in c2.gates:
             assert type(g) is Gate
             assert type(g.qubits) is tuple
-            assert g == Gate(g.name, g.qubits)
+            assert g == Gate(g.qubits)
         layout2 = layout_from_circuit(c2)
         assert layout2 == layout
         q, r = run_division(c2, layout2, (1 << n) - 1, (1 << n) - 1)
@@ -342,7 +342,7 @@ def test_run_division_raises_where_the_state_is_wrong():
 def test_run_division_names_a_wrong_terminal_state():
     # a stray NOT on an ancilla leaves q and r right but the state wrong
     c, layout = build_divider(make_params(3, "vbe", RESTORING))
-    c.append(Gate("x", (c.registers[-1].qubits[0],)))
+    c.append(Gate((c.registers[-1].qubits[0],)))
     with pytest.raises(ValueError) as exc:
         run_division(c, layout, 7, 3)
     assert str(exc.value) == "a=7 b=3: terminal state mismatch"

@@ -135,6 +135,10 @@ def test_non_canonical_spellings_import_alike(spelling):
         ("x a[9];", "line 5: index 9 out of range for register 'a'"),
         ("x zz[0];", "line 5: undeclared register 'zz'"),
         ("ccx a[0], a[1];", "line 5: gate 'ccx' takes 3 operands, got 2"),
+        # without the check of name against count, each would import as
+        # the gate its count names
+        ("cx a[0], a[1], b[0];", "line 5: gate 'cx' takes 2 operands, got 3"),
+        ("x a[0], a[1];", "line 5: gate 'x' takes 1 operands, got 2"),
     ],
 )
 def test_canonical_looking_bad_lines_keep_their_messages(bad, message):
@@ -263,7 +267,7 @@ def test_registers_round_trip_in_wire_order():
 @pytest.mark.parametrize("adder", ["cuccaro", "vbe"])
 def test_export_ignores_gate_sharing(kind, adder):
     c, _ = build_divider(make_params(8, adder, kind))
-    unshared = Circuit(c.qubit_count, c.registers, [Gate(g.name, g.qubits) for g in c.gates])
+    unshared = Circuit(c.qubit_count, c.registers, [Gate(g.qubits) for g in c.gates])
     assert export_text(unshared) == export_text(c)
 
 
