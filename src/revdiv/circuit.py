@@ -130,7 +130,7 @@ class Circuit:
         return self
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Template:
     """A fragment's placement template: its distinct gates and their order.
 

@@ -48,7 +48,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_verify(args) -> int:
     params = divider.make_params(args.n, args.adder, KIND_FLAGS[args.kind])
-    report = divider.verify_exhaustive(params, limit=args.limit)
+    report = divider.verify_exhaustive(params)
     print(f"{report.passed}/{report.total} pass")
     if not report.ok:
         print(f"first failure: {report.first_failure}", file=sys.stderr)
@@ -131,7 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_n(sp)
     add_adder(sp)
     add_kind(sp)
-    sp.add_argument("--limit", type=int, default=divider.EXHAUSTIVE_LIMIT)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("simulate", help="run one division on a QASM circuit")

@@ -166,10 +166,10 @@ def import_text(text: str) -> Circuit:
             ])
 
         # the count names the gate, so a mismatch would make another gate
-        if len(qubits) != GATE_ARITY[name]:
+        if len(qubits) != (k := GATE_ARITY[name]):
             raise QasmParseError(
                 line_no,
-                f"gate {_quote(name)} takes {GATE_ARITY[name]} operands, got {len(qubits)}",
+                f"gate {_quote(name)} takes {k} operand{'s' * (k > 1)}, got {len(qubits)}",
             )
         if len(set(qubits)) < len(qubits):
             try:

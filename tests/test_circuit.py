@@ -120,6 +120,11 @@ def test_template_placements_share_within_not_across():
     frag = build_vbe(3)
     t = frag.template
     assert frag.template is t  # made once, at the first use
+    # frozen for declared and undeclared attributes alike
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.order = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.foo = 1
     assert len(t.slices) < len(t.order) == len(frag.circuit.gates)
     host = Circuit()
     host.new_register("w", 2 * frag.circuit.qubit_count)

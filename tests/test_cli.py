@@ -102,6 +102,14 @@ def test_verify_limit(capsys):
     assert "exceeds exhaustive limit" in capsys.readouterr().err
 
 
+def test_verify_has_no_limit_option(capsys):
+    # EXHAUSTIVE_LIMIT is the one cap, with no option to raise it
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "3", "--adder", "vbe", "--limit", "3"])
+    assert exc.value.code == 2
+    assert "--limit" in capsys.readouterr().err
+
+
 def test_verify_failure_names_the_first_wrong_division(monkeypatch, capsys):
     def faulty_build(params):
         c, layout = build_divider(params)

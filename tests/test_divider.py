@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import pytest
@@ -175,6 +176,17 @@ def test_layout_survives_qasm_round_trip(kind, n):
         assert layout2 == layout
         q, r = run_division(c2, layout2, (1 << n) - 1, (1 << n) - 1)
         assert (q, r) == (1, 0)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_remainder_positions_alias_the_dividend_wires(kind):
+    c, layout = build_divider(make_params(3, "cuccaro", kind))
+    rq = next(r.qubits for r in c.registers if r.name == "rq")
+    assert layout.remainder_positions is layout.dividend_qubits
+    assert layout.remainder_positions == list(rq[:3])
+    assert "remainder_positions" not in {f.name for f in dataclasses.fields(layout)}
+    with pytest.raises(AttributeError):
+        layout.remainder_positions = []
 
 
 def test_build_is_deterministic():

@@ -138,7 +138,7 @@ def test_non_canonical_spellings_import_alike(spelling):
         # without the check of name against count, each would import as
         # the gate its count names
         ("cx a[0], a[1], b[0];", "line 5: gate 'cx' takes 2 operands, got 3"),
-        ("x a[0], a[1];", "line 5: gate 'x' takes 1 operands, got 2"),
+        ("x a[0], a[1];", "line 5: gate 'x' takes 1 operand, got 2"),
     ],
 )
 def test_canonical_looking_bad_lines_keep_their_messages(bad, message):
