@@ -58,9 +58,9 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     try:
-        # newline="" keeps the text as written, so import_text alone decides
-        # where lines end and the line numbers match the library's
-        with open(args.circuit, encoding="utf-8", newline="") as f:
+        # newline="" keeps the text as written, less a UTF-8 BOM, so import_text
+        # alone decides where lines end and the line numbers match the library's
+        with open(args.circuit, encoding="utf-8-sig", newline="") as f:
             text = f.read()
     except OSError as exc:
         return _fail(f"cannot read {args.circuit}: {exc}")

@@ -1,3 +1,7 @@
+"""In-process ``revdiv`` CLI tests: the cases that patch the library, loop
+over many inputs or compare runs. Every other command is a row of
+``cli_pins``, whose tests tier-1 collects here.
+"""
 import hashlib
 import json
 import random
@@ -5,30 +9,11 @@ import re
 
 import pytest
 
+from cli_pins import *  # noqa: F403 (the pin tests and their fixture)
 from revdiv import divider
 from revdiv.cli import main
-from revdiv.divider import (
-    EXHAUSTIVE_LIMIT,
-    KINDS,
-    NON_RESTORING,
-    build_divider,
-    make_params,
-)
+from revdiv.divider import KINDS, NON_RESTORING, build_divider, make_params
 from revdiv.qasm import export_text
-
-
-def test_build_writes_qasm_and_reports(tmp_path, capsys):
-    out = tmp_path / "d3.qasm"
-    rc = main(
-        ["build", "--n", "3", "--adder", "cuccaro", "--kind", "nonrestoring",
-         "--out", str(out)]
-    )
-    assert rc == 0
-    report = json.loads(capsys.readouterr().out)
-    assert "toffoli_count" in report
-    assert report["qubit_count"] == 14
-    text = out.read_text()
-    assert text.startswith("OPENQASM 3.0;\n")
 
 
 def test_build_is_byte_identical(tmp_path):
@@ -39,75 +24,6 @@ def test_build_is_byte_identical(tmp_path):
              "--out", str(path)]
         ) == 0
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_build_rejects_bad_n(capsys):
-    rc = main(["build", "--n", "0", "--adder", "cuccaro", "--out", "x.qasm"])
-    assert rc == 1
-    assert "n must be >= 1" in capsys.readouterr().err
-
-
-def test_estimate_published_values(capsys):
-    rc = main(
-        ["estimate", "--n", "32", "--row", "takahashi_combination",
-         "--kind", "nonrestoring"]
-    )
-    assert rc == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data == {
-        "toffoli_depth": 3003,
-        "toffoli_count": 7489,
-        "qubit_count": 152,
-    }
-    assert main(["estimate", "--n", "32", "--row", "ling"]) == 0
-    assert json.loads(capsys.readouterr().out)["toffoli_depth"] == 802
-
-
-def test_estimate_radix_bounds(capsys):
-    rc = main(["estimate", "--n", "32", "--row", "higher_radix", "--radix", "2"])
-    assert rc == 1
-    assert "2 < r <= n" in capsys.readouterr().err
-    # a row without a radix rejects one instead of ignoring it
-    rc = main(["estimate", "--n", "32", "--row", "ling", "--radix", "5"])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
-
-
-def test_estimate_strict_floor_mode(capsys):
-    rc = main(
-        ["estimate", "--n", "32", "--row", "ling", "--rounding", "strict-floor"]
-    )
-    assert rc == 0
-    assert json.loads(capsys.readouterr().out)["toffoli_depth"] == 769
-
-
-def test_verify_pass(capsys):
-    rc = main(["verify", "--n", "4", "--adder", "vbe", "--kind", "restoring"])
-    assert rc == 0
-    assert "240/240 pass" in capsys.readouterr().out
-
-
-def test_verify_default_limit_reaches_n8(capsys):
-    rc = main(["verify", "--n", "8", "--adder", "vbe", "--kind", "restoring"])
-    assert rc == 0
-    assert capsys.readouterr().out == "65280/65280 pass\n"
-
-
-def test_verify_limit(capsys):
-    n = EXHAUSTIVE_LIMIT + 1
-    rc = main(["verify", "--n", str(n), "--adder", "cuccaro", "--kind", "nonrestoring"])
-    assert rc == 1
-    assert "exceeds exhaustive limit" in capsys.readouterr().err
-
-
-def test_verify_has_no_limit_option(capsys):
-    # EXHAUSTIVE_LIMIT is the one cap, with no option to raise it
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--n", "3", "--adder", "vbe", "--limit", "3"])
-    assert exc.value.code == 2
-    assert "--limit" in capsys.readouterr().err
 
 
 def test_verify_failure_names_the_first_wrong_division(monkeypatch, capsys):
@@ -132,83 +48,6 @@ def test_verify_failure_names_the_first_wrong_division(monkeypatch, capsys):
     assert rc == 1
     assert captured.out == f"{passed}/56 pass\n"
     assert captured.err == f"first failure: {errors[0]}\n"
-
-
-def test_simulate(tmp_path, capsys):
-    out = tmp_path / "d3.qasm"
-    main(["build", "--n", "3", "--adder", "cuccaro", "--kind", "nonrestoring",
-          "--out", str(out)])
-    capsys.readouterr()
-    rc = main(["simulate", "--circuit", str(out), "--dividend", "7",
-               "--divisor", "3"])
-    assert rc == 0
-    assert capsys.readouterr().out.strip() == "q=2 r=1"
-
-
-def test_simulate_divisor_zero(tmp_path, capsys):
-    out = tmp_path / "d2.qasm"
-    main(["build", "--n", "2", "--adder", "cuccaro", "--kind", "restoring",
-          "--out", str(out)])
-    capsys.readouterr()
-    rc = main(["simulate", "--circuit", str(out), "--dividend", "1",
-               "--divisor", "0"])
-    assert rc == 1
-    assert "divisor" in capsys.readouterr().err
-
-
-def test_simulate_missing_file(capsys):
-    rc = main(["simulate", "--circuit", "/nonexistent.qasm", "--dividend", "1",
-               "--divisor", "1"])
-    assert rc == 1
-
-
-def test_simulate_parse_error_has_location(tmp_path, capsys):
-    bad = tmp_path / "bad.qasm"
-    bad.write_text("OPENQASM 3.0;\nqubit[1] a;\nh a[0];\n")
-    rc = main(["simulate", "--circuit", str(bad), "--dividend", "0",
-               "--divisor", "1"])
-    assert rc == 1
-    assert "line 3" in capsys.readouterr().err
-
-
-def test_simulate_numbers_lines_as_the_library_does(tmp_path, capsys):
-    # only "\n" ends a line, so the lone "\r" stays inside the comment
-    bad = tmp_path / "bad.qasm"
-    bad.write_bytes(b"OPENQASM 3.0;\n// a\rb\nqubit[2] a;\ncx a[0], a[0];\n")
-    rc = main(["simulate", "--circuit", str(bad), "--dividend", "0",
-               "--divisor", "1"])
-    assert rc == 1
-    assert capsys.readouterr().err == "error: line 4: duplicate operands in cx(0, 0)\n"
-
-
-def test_simulate_crlf_copy(tmp_path, capsys):
-    out = tmp_path / "d3.qasm"
-    main(["build", "--n", "3", "--adder", "vbe", "--kind", "restoring",
-          "--out", str(out)])
-    capsys.readouterr()
-    crlf = tmp_path / "d3-crlf.qasm"
-    crlf.write_bytes(out.read_bytes().replace(b"\n", b"\r\n"))
-    rc = main(["simulate", "--circuit", str(crlf), "--dividend", "7",
-               "--divisor", "3"])
-    assert rc == 0
-    assert capsys.readouterr().out == "q=2 r=1\n"
-
-
-def test_simulate_rejects_a_wrong_division(tmp_path, capsys):
-    # without the Toffoli on line 98 this divider gives 0 / 2 = 6 rest 2
-    out = tmp_path / "d4.qasm"
-    main(["build", "--n", "4", "--adder", "cuccaro", "--out", str(out)])
-    capsys.readouterr()
-    lines = out.read_text().split("\n")
-    assert lines[97] == "ccx d[0], rq[2], d[1];"
-    mutant = tmp_path / "mutant.qasm"
-    mutant.write_text("\n".join(lines[:97] + lines[98:]))
-    rc = main(["simulate", "--circuit", str(mutant), "--dividend", "0",
-               "--divisor", "2"])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert captured.out == ""
-    assert captured.err == "error: a=0 b=2: got q=6 r=2, want q=0 r=0\n"
 
 
 def _mutate(rng, lines, first_gate):
@@ -254,72 +93,6 @@ def test_simulate_on_mutants_is_right_or_an_error(tmp_path, capsys, kind, adder)
             assert re.fullmatch(r"error: [^\n]+\n", captured.err)
             outcomes["error"] += 1
     assert min(outcomes.values()) > 0
-
-
-@pytest.mark.parametrize(
-    "registers, register",
-    [
-        ("qubit[4] rq;\nqubit[3] d;\nqubit[1] s;\n", "q"),  # no quotient register
-        ("qubit[4] rq;\nqubit[3] d;\nqubit[2] q;\nqubit[0] s;\n", "s"),  # empty sign
-        ("qubit[4] rq;\nqubit[3] d;\nqubit[1] z;\nqubit[5] q;\n", "q"),  # restoring needs q[1]
-        ("qubit[4] rq;\nqubit[2] d;\nqubit[2] q;\nqubit[1] s;\n", "d"),  # n=2 needs d[3]
-        ("qubit[5] rq;\nqubit[3] d;\nqubit[2] q;\nqubit[1] s;\n", "rq"),  # odd rq
-    ],
-    ids=["missing_q", "empty_s", "oversized_q", "short_d", "odd_rq"],
-)
-def test_simulate_rejects_malformed_divider(tmp_path, capsys, registers, register):
-    bad = tmp_path / "bad.qasm"
-    bad.write_text("OPENQASM 3.0;\n" + registers)
-    rc = main(["simulate", "--circuit", str(bad), "--dividend", "3",
-               "--divisor", "1"])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert captured.out == ""
-    assert captured.err.startswith("error: not a divider circuit:")
-    assert f" in register {register!r}, found " in captured.err
-
-
-def test_table_csv(capsys):
-    rc = main(["table", "--n", "32", "--format", "csv"])
-    assert rc == 0
-    captured = capsys.readouterr()
-    lines = captured.out.strip().split("\n")
-    assert lines[0] == "divider,TD,TC,QC,TD_impr,TC_impr,QC_impr"
-    assert "non_restoring_ling,802,12217,416,94.06,86.92,98.27" in lines
-    assert "restoring_takahashi_combination,6010,10496,151" in "\n".join(lines)
-    # strict-floor disagreements are audited on the error stream
-    assert "audit" in captured.err
-
-
-@pytest.mark.parametrize("rounding", ["ceil-real-log", "strict-floor"])
-def test_table_audit_names_both_conventions(capsys, rounding):
-    assert main(["table", "--n", "32", "--rounding", rounding]) == 0
-    err = capsys.readouterr().err.splitlines()
-    line = "audit: non_restoring_ling: ceil-real-log and strict-floor readings disagree"
-    assert line in err
-    assert all(e.endswith(": ceil-real-log and strict-floor readings disagree") for e in err)
-
-
-def test_table_json(capsys):
-    rc = main(["table", "--n", "32", "--format", "json"])
-    assert rc == 0
-    rows = json.loads(capsys.readouterr().out)
-    by_name = {r["divider"]: r for r in rows}
-    assert by_name["non_restoring_takahashi_combination"]["TC_impr"] == "91.98"
-    assert by_name["newton_raphson"]["TD"] == 13506
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [["estimate", "--row", "ling"], ["estimate", "--row", "draper_cla"], ["table"]],
-)
-def test_float_overflow_is_an_error_line(capsys, argv):
-    n = 10**200
-    assert main([*argv, "--n", str(n)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    row = argv[-1] if argv[0] == "estimate" else "ling"
-    assert captured.err == f"error: {row} at n={n} overflows a float under ceil-real-log\n"
 
 
 def test_strict_floor_table_past_float_range(capsys):
