@@ -34,6 +34,10 @@ class Gate:
     def __post_init__(self):
         if not 1 <= len(self.qubits) <= 3:
             raise CircuitError(f"a gate takes 1 to 3 operands, got {len(self.qubits)}")
+        # a float would pass the checks below and fail only where simulation,
+        # measure or export indexes a list by it; a bool would act as wire 0 or 1
+        if any(type(q) is not int for q in self.qubits):
+            raise CircuitError(f"non-integer operand in {self.name}{self.qubits}")
         if len(set(self.qubits)) != len(self.qubits):
             raise CircuitError(f"duplicate operands in {self.name}{self.qubits}")
         if any(q < 0 for q in self.qubits):

@@ -22,10 +22,15 @@ from strategies import circuits
 
 
 def test_gate_validation():
-    # 1 to 3 operands, all distinct, none negative
-    for qubits in [(), (0, 1, 2, 3), (0, 0), (0, 0, 1), (0, 1, 1), (-1,), (0, -2)]:
+    # 1 to 3 operands, all distinct ints, none negative; a bool is no operand
+    for qubits in [
+        (), (0, 1, 2, 3), (0, 0), (0, 0, 1), (0, 1, 1), (-1,), (0, -2),
+        (0, 1.5), (1.0,), ("0", 1), (True, 2), (0, 1, False), (0, None), ([0], 1),
+    ]:
         with pytest.raises(CircuitError):
             Gate(qubits)
+    with pytest.raises(CircuitError, match=r"^non-integer operand in cx\(0, 1\.5\)$"):
+        Circuit(2).append(Gate((0, 1.5)))
 
 
 def test_gate_is_slotted_and_frozen():

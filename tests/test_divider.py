@@ -239,9 +239,12 @@ QASM_SHA256 = {
 
 @pytest.mark.parametrize("kind, adder, n", sorted(QASM_SHA256))
 def test_export_is_pinned(kind, adder, n):
-    text = export_text(build_divider(make_params(n, adder, kind))[0])
+    circuit = build_divider(make_params(n, adder, kind))[0]
+    text = export_text(circuit)
     digest = hashlib.sha256(text.encode("ascii")).hexdigest()
     assert digest[:16] == QASM_SHA256[kind, adder, n]
+    # the n=32 texts span several of import's pieces
+    assert import_text(text) == circuit
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -1,7 +1,10 @@
 import re
+import tracemalloc
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from revdiv.circuit import Circuit, Gate, Register, ccx, cx, x
 from revdiv.divider import KINDS, RESTORING, build_divider, make_params
@@ -316,3 +319,71 @@ def _reference_export(c: Circuit) -> str:
 def test_export_matches_reference_renderer(c):
     # the round trip alone would accept any spelling import reads back
     assert export_text(c) == _reference_export(c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="ab/ \r\n", max_size=60), st.integers(1, 8))
+@example("", 1)
+@example("\n", 1)
+@example("a\n", 1)
+@example("a\r\nb\r\n", 2)
+@example("x a[0]; // c\r\n\n", 3)
+@example("a\nb", 1)
+@example("ab\nc", 2)
+def test_line_splitter_matches_split(text, piece):
+    # the pieces are shrunk so that short texts cross many boundaries
+    with mock.patch.object(qasm, "_PIECE", piece):
+        assert list(qasm._lines(text)) == text.split("\n")
+    assert list(qasm._lines(text)) == text.split("\n")
+
+
+def test_line_splitter_at_the_real_piece_size():
+    boundary = "a" * qasm._PIECE + "\nb"  # a "\n" exactly where the first piece ends
+    for text in ["", "\n", boundary, boundary + "\n", boundary[:-1], "\r" * 200_000]:
+        assert list(qasm._lines(text)) == text.split("\n")
+
+
+def test_parse_error_past_the_first_piece_keeps_its_line_number():
+    # the middle of this 0.36 MB text lies past import's first two pieces
+    text = export_text(build_divider(make_params(32, "vbe", RESTORING))[0])
+    start = text.index("\n", len(text) // 2) + 1
+    line_no = text.count("\n", 0, start) + 1
+    bad = text[:start] + "h a[0];\n" + text[start:]
+    with pytest.raises(QasmParseError) as exc:
+        import_text(bad)
+    assert str(exc.value) == f"line {line_no}: unknown gate 'h'"
+    assert bad.split("\n")[line_no - 1] == "h a[0];"
+
+
+def _traced(f, *args):
+    """``f(*args)``, the traced bytes still held after it, and its traced peak."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = f(*args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held - base, peak - base
+
+
+@pytest.fixture(scope="module")
+def restoring_vbe_64():
+    return build_divider(make_params(64, "vbe", RESTORING))[0]
+
+
+# Each bound sits about 10 % above the highest ratio measured on Python
+# 3.10-3.13, with and without dev mode, for the n=64 restoring VBE divider:
+# export 2.56-2.70 times its text and import 1.90-2.11 times what it keeps.
+# Holding a second copy of the text read 3.31-4.31 and 2.98-3.34.
+def test_export_peak_is_bounded_by_its_text(restoring_vbe_64):
+    text, _, peak = _traced(export_text, restoring_vbe_64)
+    assert peak < 3.0 * len(text)
+
+
+def test_import_peak_is_bounded_by_the_circuit_it_keeps(restoring_vbe_64):
+    text = export_text(restoring_vbe_64)
+    circuit, held, peak = _traced(import_text, text)
+    assert circuit == restoring_vbe_64
+    assert peak < 2.35 * held
