@@ -9,7 +9,10 @@ contribute no depth of their own.
 """
 from __future__ import annotations
 
+import gc
+import threading
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
 
@@ -19,6 +22,35 @@ GATE_ARITY = {name: k for k, name in enumerate(GATE_NAMES, 1)}
 
 class CircuitError(ValueError):
     """Raised for structurally invalid gates, registers or mappings."""
+
+
+# The collector's flag is process-wide.  This lock makes a pause's read and
+# disable one step: were another thread's restore to fall between them, the
+# pause would disable the collector last and, having read it disabled,
+# never enable it again.
+_gc_flag = threading.Lock()
+
+
+@contextmanager
+def gc_paused():
+    """Pause cyclic garbage collection, then restore its previous state.
+
+    For code that makes gates in bulk: a gate holds only a tuple of ints,
+    so gates form no cycles, yet while the collector runs its passes walk
+    every gate made so far, again and again as a circuit grows.  The
+    collector is re-enabled on exit only if it was enabled on entry, so
+    nested pauses and callers that disabled it themselves keep their state.
+    Usable as a decorator.
+    """
+    with _gc_flag:
+        was_enabled = gc.isenabled()
+        gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            with _gc_flag:
+                gc.enable()
 
 
 @dataclass(frozen=True)
@@ -85,6 +117,29 @@ class Circuit:
     registers: list[Register] = field(default_factory=list)
     gates: list[Gate] = field(default_factory=list)
 
+    def __post_init__(self):
+        n = self.qubit_count
+        if type(n) is not int or n < 0:
+            raise CircuitError(f"qubit count must be a non-negative int, got {n!r}")
+        used: set[int] = set()
+        for r in self.registers:
+            for q in r.qubits:
+                if type(q) is not int or not 0 <= q < n:
+                    raise CircuitError(
+                        f"register {r.name!r} wire {q!r} out of range for {n}-qubit circuit"
+                    )
+                if q in used:
+                    raise CircuitError(f"registers overlap on wire {q}")
+                used.add(q)
+        for g in self.gates:
+            if max(g.qubits) >= n:
+                raise self._out_of_range(g)
+
+    def _out_of_range(self, gate: Gate) -> CircuitError:
+        return CircuitError(
+            f"gate {gate.name}{gate.qubits} out of range for {self.qubit_count}-qubit circuit"
+        )
+
     def new_register(self, name: str, size: int) -> Register:
         """Allocate ``size`` fresh wires as a contiguous named register."""
         if size < 0:
@@ -98,10 +153,7 @@ class Circuit:
 
     def append(self, gate: Gate) -> "Circuit":
         if max(gate.qubits) >= self.qubit_count:
-            raise CircuitError(
-                f"gate {gate.name}{gate.qubits} out of range for "
-                f"{self.qubit_count}-qubit circuit"
-            )
+            raise self._out_of_range(gate)
         self.gates.append(gate)
         return self
 

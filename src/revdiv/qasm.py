@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterator
 
-from .circuit import Circuit, CircuitError, Gate, GATE_ARITY, Register
+from .circuit import Circuit, CircuitError, Gate, GATE_ARITY, Register, gc_paused
 
 HEADER = "OPENQASM 3.0;"
 
@@ -100,6 +100,7 @@ def export_text(circuit: Circuit) -> str:
     return "\n".join(lines)
 
 
+@gc_paused()
 def import_text(text: str) -> Circuit:
     r"""Parse OpenQASM-subset text back into a circuit.
 
@@ -112,6 +113,14 @@ def import_text(text: str) -> Circuit:
     split once its comment and whitespace are dropped.  Operands resolve
     through the ``"reg[i]"`` table that the declarations fill;
     ``_OPERAND_RE`` reads only a token the table lacks.
+
+    Cyclic garbage collection is paused while the gates are made and its
+    previous state restored after, on an error too
+    (:func:`revdiv.circuit.gc_paused`).  That is safe: a gate holds only a
+    tuple of ints, so gates form no cycles, and any other garbage waits
+    for the next collection.  The collector's flag is process-wide, so a
+    caller that disables it from another thread during an import may find
+    it re-enabled.
     """
     circuit = Circuit()
     gates = circuit.gates

@@ -10,6 +10,7 @@ from revdiv.circuit import (
     Circuit,
     CircuitError,
     Gate,
+    Register,
     Template,
     ccx,
     cx,
@@ -83,6 +84,54 @@ def test_register_allocation_contiguous():
     assert c.registers == [a, b]
     with pytest.raises(CircuitError):
         c.new_register("a", 1)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        pytest.param((-2,), r"^qubit count must be a non-negative int, got -2$", id="negative"),
+        pytest.param((2.0,), r"^qubit count must be a non-negative int, got 2\.0$", id="float"),
+        pytest.param((True,), r"^qubit count must be a non-negative int, got True$", id="bool"),
+        pytest.param(
+            (1, [Register("a", (0,))], [cx(0, 1)]),
+            r"^gate cx\(0, 1\) out of range for 1-qubit circuit$",
+            id="gate-past-the-end",
+        ),
+        pytest.param((0, [], [x(0)]), r"^gate x\(0,\) out of range for 0-qubit circuit$", id="no-wires"),
+        pytest.param(
+            (2, [Register("a", (0, 2))]),
+            r"^register 'a' wire 2 out of range for 2-qubit circuit$",
+            id="register-past-the-end",
+        ),
+        pytest.param(
+            (2, [Register("a", (-1, 0))]),
+            r"^register 'a' wire -1 out of range for 2-qubit circuit$",
+            id="register-negative",
+        ),
+        pytest.param(
+            (2, [Register("a", (1.0,))]),
+            r"^register 'a' wire 1\.0 out of range for 2-qubit circuit$",
+            id="register-float",
+        ),
+        pytest.param(
+            (3, [Register("a", (0, 1)), Register("b", (1, 2))]),
+            r"^registers overlap on wire 1$",
+            id="overlap",
+        ),
+        pytest.param((2, [Register("a", (0, 0))]), r"^registers overlap on wire 0$", id="repeat"),
+    ],
+)
+def test_constructor_validation(args, message):
+    with pytest.raises(CircuitError, match=message):
+        Circuit(*args)
+
+
+def test_constructor_accepts_gapped_and_unordered_registers():
+    # registers may leave wires out or list them out of order; export refuses those
+    c = Circuit(3, [Register("b", (2,)), Register("a", (0,))], [ccx(0, 1, 2)])
+    assert dataclasses.replace(c) == c
+    with pytest.raises(CircuitError, match=r"^gate cx\(0, 3\) out of range for 3-qubit circuit$"):
+        c.append(cx(0, 3))
 
 
 def test_append_bounds():
