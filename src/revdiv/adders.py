@@ -65,11 +65,11 @@ def _adder_shell(m: int, n_anc: int, carry_out: bool = True) -> AdderFragment:
     if m < 1:
         raise ValueError("operand width must be >= 1")
     c = Circuit()
-    a = c.new_register("a", m).qubits
-    b = c.new_register("b", m).qubits
+    a = c.new_register("a", m)
+    b = c.new_register("b", m)
     cin = c.new_register("cin", 1)[0]
     cout = c.new_register("cout", 1)[0] if carry_out else None
-    anc = c.new_register("anc", n_anc).qubits if n_anc else ()
+    anc = c.new_register("anc", n_anc) if n_anc else ()
     return AdderFragment(c, a, b, cin, cout, anc)
 
 
@@ -153,7 +153,7 @@ def _around(frag: AdderFragment, before: list[Gate], after: list[Gate]) -> Adder
     """A copy of ``frag``, ``before`` ahead of its gates and ``after`` behind them."""
     c = frag.circuit
     gates = [*before, *c.gates, *after]
-    return replace(frag, circuit=Circuit(c.qubit_count, list(c.registers), gates))
+    return replace(frag, circuit=Circuit(c.qubit_count, dict(c.registers), gates))
 
 
 def wrap_subtractor(frag: AdderFragment) -> AdderFragment:

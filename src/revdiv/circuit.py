@@ -1,11 +1,11 @@
 """Reversible-circuit intermediate representation over {NOT, CNOT, TOFFOLI}.
 
-Circuits are ordered gate lists over integer-indexed qubits, with named
-disjoint registers.  A gate is its operands; its name follows from their
-count.  Circuits are append-only: builders grow a circuit and hand it out,
-composition copies gates with an index remap.  Toffoli depth is computed
-by dependency scheduling in which NOT/CNOT gates impose ordering but
-contribute no depth of their own.
+Circuits are ordered gate lists over integer-indexed qubits, with disjoint
+registers: a dict from each register's name to its wires.  A gate is its
+operands; its name follows from their count.  Circuits are append-only:
+builders grow a circuit and hand it out, composition copies gates with an
+index remap.  Toffoli depth is computed by dependency scheduling in which
+NOT/CNOT gates impose ordering but contribute no depth of their own.
 """
 from __future__ import annotations
 
@@ -95,38 +95,30 @@ def ccx(control1: int, control2: int, target: int) -> Gate:
     return Gate((control1, control2, target))
 
 
-@dataclass(frozen=True)
-class Register:
-    """Named ordered group of qubits; index 0 is the least significant bit."""
-
-    name: str
-    qubits: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.qubits)
-
-    def __getitem__(self, i):
-        return self.qubits[i]
-
-
 @dataclass
 class Circuit:
-    """Ordered gate list over ``qubit_count`` wires with disjoint registers."""
+    """Ordered gate list over ``qubit_count`` wires with disjoint registers.
+
+    ``registers`` maps each register's name to its wires, index 0 the least
+    significant bit, in the order the registers were declared.
+    """
 
     qubit_count: int = 0
-    registers: list[Register] = field(default_factory=list)
+    registers: dict[str, tuple[int, ...]] = field(default_factory=dict)
     gates: list[Gate] = field(default_factory=list)
 
     def __post_init__(self):
         n = self.qubit_count
         if type(n) is not int or n < 0:
             raise CircuitError(f"qubit count must be a non-negative int, got {n!r}")
+        if not isinstance(self.registers, dict):
+            raise CircuitError(f"registers must be a dict, not {type(self.registers).__name__}")
         used: set[int] = set()
-        for r in self.registers:
-            for q in r.qubits:
+        for name, wires in self.registers.items():
+            for q in wires:
                 if type(q) is not int or not 0 <= q < n:
                     raise CircuitError(
-                        f"register {r.name!r} wire {q!r} out of range for {n}-qubit circuit"
+                        f"register {name!r} wire {q!r} out of range for {n}-qubit circuit"
                     )
                 if q in used:
                     raise CircuitError(f"registers overlap on wire {q}")
@@ -140,16 +132,16 @@ class Circuit:
             f"gate {gate.name}{gate.qubits} out of range for {self.qubit_count}-qubit circuit"
         )
 
-    def new_register(self, name: str, size: int) -> Register:
-        """Allocate ``size`` fresh wires as a contiguous named register."""
+    def new_register(self, name: str, size: int) -> tuple[int, ...]:
+        """Allocate ``size`` fresh wires as a contiguous named register and
+        return them, least significant first."""
         if size < 0:
             raise CircuitError("register size must be non-negative")
-        if any(r.name == name for r in self.registers):
+        if name in self.registers:
             raise CircuitError(f"duplicate register name {name!r}")
-        reg = Register(name, tuple(range(self.qubit_count, self.qubit_count + size)))
+        wires = self.registers[name] = tuple(range(self.qubit_count, self.qubit_count + size))
         self.qubit_count += size
-        self.registers.append(reg)
-        return reg
+        return wires
 
     def append(self, gate: Gate) -> "Circuit":
         if max(gate.qubits) >= self.qubit_count:

@@ -42,8 +42,8 @@ EXHAUSTIVE_LIMIT = 12
 
 
 def check_width_and_kind(n: int, kind: str) -> None:
-    """Reject a width that is not an integer >= 1, or an unknown kind."""
-    if not isinstance(n, int):
+    """Reject a width that is not an integer >= 1 (a bool is none), or an unknown kind."""
+    if type(n) is not int:
         raise ValueError(f"n must be an integer, not {n!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -94,28 +94,28 @@ def layout_from_circuit(circuit: Circuit) -> DividerLayout:
     This is the one source of every layout: :func:`build_divider` calls it
     on its registers before placing a gate and takes every window and
     carry-out wire from it, and it reads an imported circuit the same way."""
-    names = {r.name: r.qubits for r in circuit.registers}
-    if "s" in names:
+    regs = circuit.registers
+    if "s" in regs:
         kind = NON_RESTORING
-    elif "z" in names:
+    elif "z" in regs:
         kind = RESTORING
     else:
         raise ValueError("not a divider circuit: missing s/z register")
-    rq = names.get("rq", ())
+    rq = regs.get("rq", ())
     n = max(len(rq) // 2, 1)
     for name, size in register_sizes(kind, n):
-        found = len(names.get(name, ()))
+        found = len(regs.get(name, ()))
         if found != size:
             raise ValueError(
                 f"not a divider circuit: n={n} needs {size} wire(s) in "
                 f"register {name!r}, found {found}"
             )
 
-    q = names.get("q", ())
+    q = regs.get("q", ())
     if kind == NON_RESTORING:
         quotient = list(q)
     elif n == 1:
-        quotient = [names["z"][0]]
+        quotient = [regs["z"][0]]
     else:
         # iteration 2's carry-out recycles the top of window 1
         quotient = [*q[:-1], rq[-1], q[-1]]
@@ -124,10 +124,10 @@ def layout_from_circuit(circuit: Circuit) -> DividerLayout:
         n=n,
         kind=kind,
         dividend_qubits=list(rq[:n]),
-        divisor_qubits=list(names["d"][:n]),
+        divisor_qubits=list(regs["d"][:n]),
         iteration_windows=[list(rq[n - i : 2 * n - i + 1]) for i in range(1, n + 1)],
         quotient_positions=quotient,
-        restore_control=names["s"][0] if kind == NON_RESTORING else None,
+        restore_control=regs["s"][0] if kind == NON_RESTORING else None,
     )
 
 
@@ -148,13 +148,11 @@ def build_divider(params: DividerParams) -> tuple[Circuit, DividerLayout]:
     frag = adder.build(m)  # the one adder build; both wrappers copy it
     sub = wrap_subtractor(frag)
     c = Circuit()
-    regs = {
-        name: c.new_register(name, size)
-        for name, size in (*register_sizes(kind, n), ("anc", len(frag.ancillas)))
-        if size
-    }
-    d = regs["d"].qubits
-    anc = regs["anc"].qubits if "anc" in regs else ()
+    for name, size in (*register_sizes(kind, n), ("anc", len(frag.ancillas))):
+        if size:
+            c.new_register(name, size)
+    d = c.registers["d"]
+    anc = c.registers.get("anc", ())
     layout = layout_from_circuit(c)
     windows = layout.iteration_windows
     couts = layout.quotient_positions[::-1]  # carry-out of iteration i at i-1
@@ -177,7 +175,7 @@ def build_divider(params: DividerParams) -> tuple[Circuit, DividerLayout]:
         c.append(x(s))
         cond.place(c, d, windows[-1], s)
     else:
-        z = regs["z"][0]
+        z = c.registers["z"][0]
         for w, cw in zip(windows, couts):
             if n == 1:
                 _restoring_sign_width1(c, d, w, cw)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterator
 
-from .circuit import Circuit, CircuitError, Gate, GATE_ARITY, Register, gc_paused
+from .circuit import Circuit, CircuitError, Gate, GATE_ARITY, gc_paused
 
 HEADER = "OPENQASM 3.0;"
 
@@ -54,28 +54,24 @@ def export_text(circuit: Circuit) -> str:
     ``tracemalloc`` peak of exporting the n=128 restoring VBE divider, a
     6.1 MB text, from 15.7 to 16.4 MB.
     """
-    regs = circuit.registers
+    regs = circuit.registers.items()
     covered: list[int] = []
-    names: set[str] = set()
-    for r in regs:
-        if not re.fullmatch(_IDENT, r.name, re.ASCII):
-            raise QasmExportError(f"register name {r.name!r} is not an ASCII identifier")
-        if r.name in names:
-            raise QasmExportError(f"register name {r.name!r} is repeated")
-        names.add(r.name)
-        if r.qubits and list(r.qubits) != list(range(r.qubits[0], r.qubits[0] + len(r))):
-            raise QasmExportError(f"register {r.name!r} is not contiguous")
-        covered.extend(r.qubits)
+    for name, wires in regs:
+        if not re.fullmatch(_IDENT, name, re.ASCII):
+            raise QasmExportError(f"register name {name!r} is not an ASCII identifier")
+        if wires and list(wires) != list(range(wires[0], wires[0] + len(wires))):
+            raise QasmExportError(f"register {name!r} is not contiguous")
+        covered.extend(wires)
     if not regs or covered != list(range(circuit.qubit_count)):
         raise QasmExportError(
             "one or more registers must tile all qubits exactly once, listed in wire order"
         )
 
     # the registers tile the wires in order, so wire q's name is refs[q]
-    refs = [f"{r.name}[{i}]" for r in regs for i in range(len(r.qubits))]
+    refs = [f"{name}[{i}]" for name, wires in regs for i in range(len(wires))]
     lines = [HEADER]
-    for r in regs:
-        lines.append(f"qubit[{len(r.qubits)}] {r.name};")
+    for name, wires in regs:
+        lines.append(f"qubit[{len(wires)}] {name};")
     made: dict[int, dict[tuple[int, ...], str]] = {k: {} for k in GATE_ARITY.values()}
     append = lines.append
     for g in circuit.gates:
@@ -123,8 +119,7 @@ def import_text(text: str) -> Circuit:
     it re-enabled.
     """
     circuit = Circuit()
-    gates = circuit.gates
-    registers: dict[str, Register] = {}
+    gates, registers = circuit.gates, circuit.registers
     wires: dict[str, int] = {}  # "reg[i]" -> wire, for every declared wire
     seen: dict[str, Gate] = {}  # raw gate line -> its Gate
     set_qubits = Gate.qubits.__set__
@@ -169,8 +164,8 @@ def import_text(text: str) -> Circuit:
                     )
                 if name in registers:
                     raise QasmParseError(line_no, f"register {_quote(name)} redeclared")
-                reg = registers[name] = circuit.new_register(name, size)
-                wires.update({f"{name}[{i}]": q for i, q in enumerate(reg.qubits)})
+                reg = circuit.new_register(name, size)
+                wires.update({f"{name}[{i}]": q for i, q in enumerate(reg)})
                 continue
             if not line.endswith(";"):
                 raise QasmParseError(line_no, f"missing ';' in {_quote(line)}")
@@ -228,7 +223,7 @@ def _quote(text: str) -> str:
     return repr(text[:80]) + ("..." if len(text) > 80 else "")
 
 
-def _wire(line_no: int, token: str, registers: dict[str, Register]) -> int:
+def _wire(line_no: int, token: str, registers: dict[str, tuple[int, ...]]) -> int:
     """The wire an operand token names, or the error that says why not."""
     m = _OPERAND_RE.match(token)
     if not m:

@@ -37,7 +37,11 @@ WIDTH1_ROW_TOFFOLI_OFFSET = {"cuccaro": -2, "vbe": -5}  # TD and TC, restoring n
 
 def vbe_row_td_offset(n: int) -> int:
     """TD of a built VBE divider, either kind, minus its row's: the row
-    counts n^2 more Toffoli levels than the scheduled circuit has."""
+    counts n^2 more Toffoli levels than the scheduled circuit has.
+
+    The row takes the width-m adder's TD equal to its TC, 4m-2, where the
+    built adder schedules into 3m-1 levels.  With m = n+1 that is m-1 = n
+    extra levels in each of the n iterations, n^2 in all."""
     return -n * n
 
 

@@ -54,7 +54,7 @@ def test_criterion_2_qubit_budget():
         for adder in ADDER_NAMES:
             for n in range(1, 9):
                 c, _ = build_divider(make_params(n, adder, kind))
-                anc = sum(len(r) for r in c.registers if r.name == "anc")
+                anc = len(c.registers.get("anc", ()))
                 ok = ok and c.qubit_count == 4 * n + base + anc
                 ok = ok and anc == (n if adder == "vbe" else 0)
     assert _report(2, "qubit budget 4n+2+anc / 4n+1+anc", ok)
@@ -144,7 +144,7 @@ def test_criterion_7_simulator_soundness():
         c = _random_fragment(rng)
         state = [rng.randrange(2) for _ in range(c.qubit_count)]
         mid = apply(c, state)
-        inverse = Circuit(c.qubit_count, list(c.registers), c.gates[::-1])
+        inverse = Circuit(c.qubit_count, dict(c.registers), c.gates[::-1])
         ok = ok and apply(inverse, mid) == state
 
     d = Circuit()

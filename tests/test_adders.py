@@ -45,11 +45,13 @@ def test_cuccaro_toffoli_counts(m):
     assert rep.toffoli_depth == 2 * m - 1
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 33])
 def test_vbe_toffoli_count_and_ancillas(m):
     frag = build_vbe(m)
     rep = measure(frag.circuit)
     assert rep.toffoli_count == 4 * m - 2
+    # m-1 levels short of the count, which the vbe cost row takes as its depth
+    assert rep.toffoli_depth == 3 * m - 1
     assert len(frag.ancillas) == m - 1
 
 
@@ -172,7 +174,7 @@ def test_width_validation():
     # place checks each role's width, not just the total wire count
     frag = build_cuccaro(3)
     host = Circuit()
-    wires = host.new_register("w", frag.circuit.qubit_count).qubits
+    wires = host.new_register("w", frag.circuit.qubit_count)
     frag.place(host, wires[0:3], wires[3:6], wires[6], wires[7])
     for a, b in ((wires[0:2], wires[2:6]), (wires[0:4], wires[4:6])):
         with pytest.raises(CircuitError):

@@ -10,7 +10,6 @@ from revdiv.circuit import (
     Circuit,
     CircuitError,
     Gate,
-    Register,
     Template,
     ccx,
     cx,
@@ -78,10 +77,10 @@ def test_register_allocation_contiguous():
     c = Circuit()
     a = c.new_register("a", 3)
     b = c.new_register("b", 2)
-    assert a.qubits == (0, 1, 2)
-    assert b.qubits == (3, 4)
+    assert a == (0, 1, 2)
+    assert b == (3, 4)
     assert c.qubit_count == 5
-    assert c.registers == [a, b]
+    assert c.registers == {"a": a, "b": b}
     with pytest.raises(CircuitError):
         c.new_register("a", 1)
 
@@ -93,32 +92,37 @@ def test_register_allocation_contiguous():
         pytest.param((2.0,), r"^qubit count must be a non-negative int, got 2\.0$", id="float"),
         pytest.param((True,), r"^qubit count must be a non-negative int, got True$", id="bool"),
         pytest.param(
-            (1, [Register("a", (0,))], [cx(0, 1)]),
+            (1, {"a": (0,)}, [cx(0, 1)]),
             r"^gate cx\(0, 1\) out of range for 1-qubit circuit$",
             id="gate-past-the-end",
         ),
-        pytest.param((0, [], [x(0)]), r"^gate x\(0,\) out of range for 0-qubit circuit$", id="no-wires"),
+        pytest.param((0, {}, [x(0)]), r"^gate x\(0,\) out of range for 0-qubit circuit$", id="no-wires"),
         pytest.param(
-            (2, [Register("a", (0, 2))]),
+            (2, {"a": (0, 2)}),
             r"^register 'a' wire 2 out of range for 2-qubit circuit$",
             id="register-past-the-end",
         ),
         pytest.param(
-            (2, [Register("a", (-1, 0))]),
+            (2, {"a": (-1, 0)}),
             r"^register 'a' wire -1 out of range for 2-qubit circuit$",
             id="register-negative",
         ),
         pytest.param(
-            (2, [Register("a", (1.0,))]),
+            (2, {"a": (1.0,)}),
             r"^register 'a' wire 1\.0 out of range for 2-qubit circuit$",
             id="register-float",
         ),
         pytest.param(
-            (3, [Register("a", (0, 1)), Register("b", (1, 2))]),
+            (3, {"a": (0, 1), "b": (1, 2)}),
             r"^registers overlap on wire 1$",
             id="overlap",
         ),
-        pytest.param((2, [Register("a", (0, 0))]), r"^registers overlap on wire 0$", id="repeat"),
+        pytest.param((2, {"a": (0, 0)}), r"^registers overlap on wire 0$", id="repeat"),
+        pytest.param(
+            (2, [("a", (0,)), ("b", (1,))]),
+            r"^registers must be a dict, not list$",
+            id="registers-list",
+        ),
     ],
 )
 def test_constructor_validation(args, message):
@@ -128,7 +132,7 @@ def test_constructor_validation(args, message):
 
 def test_constructor_accepts_gapped_and_unordered_registers():
     # registers may leave wires out or list them out of order; export refuses those
-    c = Circuit(3, [Register("b", (2,)), Register("a", (0,))], [ccx(0, 1, 2)])
+    c = Circuit(3, {"b": (2,), "a": (0,)}, [ccx(0, 1, 2)])
     assert dataclasses.replace(c) == c
     with pytest.raises(CircuitError, match=r"^gate cx\(0, 3\) out of range for 3-qubit circuit$"):
         c.append(cx(0, 3))
@@ -297,7 +301,7 @@ def test_depth_clifford_mediated_ordering():
 
 def reversed_circuit(c):
     """Same wires, gates in reverse order: the inverse, as each gate is self-inverse."""
-    return Circuit(c.qubit_count, list(c.registers), c.gates[::-1])
+    return Circuit(c.qubit_count, dict(c.registers), c.gates[::-1])
 
 
 def test_reversed_is_inverse_order():

@@ -55,6 +55,31 @@ def test_polynomial_rows():
     assert evaluate_row("wang_rca", n) == evaluate_row("gayathri_rca", n)
 
 
+def test_takahashi_rca_row_shares_the_built_cuccaro_toffolis():
+    # the row's TD and TC are the built non-restoring Cuccaro divider's,
+    # pinned as the cuccaro row is; only its QC differs
+    for n in WIDTHS:
+        assert evaluate_row("takahashi_rca", n)[:2] == built_costs(NON_RESTORING, "cuccaro", n)[:2]
+
+
+# (TD, TC, QC) of the wang_rca and gayathri_rca rows, which share one formula
+# and have no built circuit to be checked against
+SHARED_RCA_ROW = {
+    8: (97, 97, 46),
+    16: (321, 321, 86),
+    32: (1153, 1153, 166),
+    64: (4353, 4353, 326),
+    128: (16897, 16897, 646),
+}
+
+
+@pytest.mark.parametrize("rounding", ROUNDINGS)
+@pytest.mark.parametrize("row", ["wang_rca", "gayathri_rca"])
+def test_shared_rca_row_values(row, rounding):
+    for n, want in SHARED_RCA_ROW.items():
+        assert evaluate_row(row, n, rounding=rounding) == want
+
+
 def test_published_32bit_values():
     assert evaluate_row("takahashi_combination", 32) == (3003, 7489, 152)
     assert evaluate_row("ling", 32) == (802, 12217, 416)
@@ -162,10 +187,12 @@ def test_row_errors():
         evaluate_row("higher_radix", 8, radix=9)
     with pytest.raises(ValueError, match="only higher_radix takes a radix"):
         evaluate_row("ling", 32, radix=5)
-    # a non-integer width or radix, not a wrong value or a TypeError
+    # a non-integer width or radix, not a wrong value or a TypeError; True
+    # is an int, and would give the n = 1 row
     for row in ("vbe", "ling"):
-        with pytest.raises(ValueError, match="^n must be an integer, not 2.5$"):
-            evaluate_row(row, 2.5)
+        for n in (2.5, True):
+            with pytest.raises(ValueError, match=f"^n must be an integer, not {n}$"):
+                evaluate_row(row, n)
     with pytest.raises(ValueError, match="^higher_radix needs an integer radix"):
         evaluate_row("higher_radix", 8, radix=3.5)
     assert evaluate_row("higher_radix", 8, radix=3)

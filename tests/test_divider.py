@@ -36,6 +36,9 @@ def test_params_validation():
     # checked before the build, which would fail inside on a float
     with pytest.raises(ValueError, match="^n must be an integer, not 2.5$"):
         make_params(2.5, "vbe", RESTORING)
+    # a bool is an int, and True would build the n = 1 divider
+    with pytest.raises(ValueError, match="^n must be an integer, not True$"):
+        make_params(True, "cuccaro", NON_RESTORING)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -108,7 +111,7 @@ def test_divider_builds_its_adder_once(kind, adder, n):
 def test_qubit_budget(kind, adder, n):
     c, _ = build_divider(make_params(n, adder, kind))
     base = 2 if kind == NON_RESTORING else 1
-    anc = sum(len(r) for r in c.registers if r.name == "anc")
+    anc = len(c.registers.get("anc", ()))
     assert c.qubit_count == 4 * n + base + anc
 
 
@@ -181,7 +184,7 @@ def test_layout_survives_qasm_round_trip(kind, n):
 @pytest.mark.parametrize("kind", KINDS)
 def test_remainder_positions_alias_the_dividend_wires(kind):
     c, layout = build_divider(make_params(3, "cuccaro", kind))
-    rq = next(r.qubits for r in c.registers if r.name == "rq")
+    rq = c.registers["rq"]
     assert layout.remainder_positions is layout.dividend_qubits
     assert layout.remainder_positions == list(rq[:3])
     assert "remainder_positions" not in {f.name for f in dataclasses.fields(layout)}
@@ -357,7 +360,7 @@ def test_run_division_raises_where_the_state_is_wrong():
 def test_run_division_names_a_wrong_terminal_state():
     # a stray NOT on an ancilla leaves q and r right but the state wrong
     c, layout = build_divider(make_params(3, "vbe", RESTORING))
-    c.append(Gate((c.registers[-1].qubits[0],)))
+    c.append(Gate((c.registers["anc"][0],)))
     with pytest.raises(ValueError) as exc:
         run_division(c, layout, 7, 3)
     assert str(exc.value) == "a=7 b=3: terminal state mismatch"

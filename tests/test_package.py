@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-MODULES = ("circuit", "sim", "adders", "divider", "costs", "qasm", "cli")
+# every module of the package, so that one added later is checked too
+MODULES = sorted(p.stem for p in (SRC / "revdiv").glob("*.py") if p.stem != "__init__")
 
 
 def _run(code: str) -> str:
