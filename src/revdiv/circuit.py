@@ -115,6 +115,12 @@ class Circuit:
             raise CircuitError(f"registers must be a dict, not {type(self.registers).__name__}")
         used: set[int] = set()
         for name, wires in self.registers.items():
+            if type(name) is not str:
+                raise CircuitError(f"register name {name!r} is not a str")
+            if type(wires) is not tuple:
+                raise CircuitError(
+                    f"register {name!r} wires must be a tuple, not {type(wires).__name__}"
+                )
             for q in wires:
                 if type(q) is not int or not 0 <= q < n:
                     raise CircuitError(
@@ -135,6 +141,10 @@ class Circuit:
     def new_register(self, name: str, size: int) -> tuple[int, ...]:
         """Allocate ``size`` fresh wires as a contiguous named register and
         return them, least significant first."""
+        if type(name) is not str:
+            raise CircuitError(f"register name {name!r} is not a str")
+        if type(size) is not int:
+            raise CircuitError(f"register size must be an int, not {size!r}")
         if size < 0:
             raise CircuitError("register size must be non-negative")
         if name in self.registers:

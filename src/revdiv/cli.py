@@ -9,7 +9,7 @@ from . import costs, divider, qasm
 from .adders import ADDERS
 from .circuit import measure
 
-KIND_FLAGS = {"nonrestoring": divider.NON_RESTORING, "restoring": divider.RESTORING}
+KIND_FLAGS = {k.replace("_", ""): k for k in costs.KINDS}
 
 
 def _fail(msg: str) -> int:

@@ -16,7 +16,9 @@ import math
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
-from .divider import NON_RESTORING, RESTORING, check_width_and_kind
+NON_RESTORING = "non_restoring"
+RESTORING = "restoring"
+KINDS = (NON_RESTORING, RESTORING)
 
 CEIL_REAL_LOG = "ceil-real-log"
 STRICT_FLOOR = "strict-floor"
@@ -31,9 +33,19 @@ BASELINE_N = 32
 REFERENCE_BASELINE = "newton_raphson"
 
 
+def check_width_and_kind(n: int, kind: str) -> None:
+    """Reject a width that is not an integer >= 1 (a bool is none), or an unknown kind."""
+    if type(n) is not int:
+        raise ValueError(f"n must be an integer, not {n!r}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}")
+
+
 def omega(n: int) -> int:
     """Number of ones in binary n."""
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise ValueError("omega is defined for integers n >= 0")
     return n.bit_count()
 

@@ -29,26 +29,14 @@ from dataclasses import dataclass
 from .adders import AdderBuilder, build_cond_add, get_adder, wrap_add_sub, wrap_subtractor
 from .circuit import Circuit, ccx, cx, gc_paused, x
 from .circuit import measure  # noqa: F401  (traced benchmark runs patch divider.measure)
+# KINDS is unused here, but benchmark workloads read divider.KINDS
+from .costs import KINDS, NON_RESTORING, RESTORING, check_width_and_kind  # noqa: F401
 from .sim import apply  # noqa: F401  (traced benchmark runs patch divider.apply)
 from .sim import apply_planes, decode_register, encode_register
-
-NON_RESTORING = "non_restoring"
-RESTORING = "restoring"
-KINDS = (NON_RESTORING, RESTORING)
 
 # The widest unchunked sweep measured: at n = 12 (2^24 lanes) it takes 2.4-4.4 s and
 # 0.30-0.34 GB peak RSS per divider (Python 3.11, 2 vCPUs); memory grows ~4x per bit.
 EXHAUSTIVE_LIMIT = 12
-
-
-def check_width_and_kind(n: int, kind: str) -> None:
-    """Reject a width that is not an integer >= 1 (a bool is none), or an unknown kind."""
-    if type(n) is not int:
-        raise ValueError(f"n must be an integer, not {n!r}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterator
 
-from .circuit import Circuit, CircuitError, Gate, GATE_ARITY, gc_paused
+from .circuit import Circuit, Gate, GATE_ARITY
 
 HEADER = "OPENQASM 3.0;"
 
@@ -96,7 +96,6 @@ def export_text(circuit: Circuit) -> str:
     return "\n".join(lines)
 
 
-@gc_paused()
 def import_text(text: str) -> Circuit:
     r"""Parse OpenQASM-subset text back into a circuit.
 
@@ -109,14 +108,6 @@ def import_text(text: str) -> Circuit:
     split once its comment and whitespace are dropped.  Operands resolve
     through the ``"reg[i]"`` table that the declarations fill;
     ``_OPERAND_RE`` reads only a token the table lacks.
-
-    Cyclic garbage collection is paused while the gates are made and its
-    previous state restored after, on an error too
-    (:func:`revdiv.circuit.gc_paused`).  That is safe: a gate holds only a
-    tuple of ints, so gates form no cycles, and any other garbage waits
-    for the next collection.  The collector's flag is process-wide, so a
-    caller that disables it from another thread during an import may find
-    it re-enabled.
     """
     circuit = Circuit()
     gates, registers = circuit.gates, circuit.registers
@@ -191,10 +182,7 @@ def import_text(text: str) -> Circuit:
                 f"gate {_quote(name)} takes {k} operand{'s' * (k > 1)}, got {len(qubits)}",
             )
         if len(set(qubits)) < len(qubits):
-            try:
-                Gate(qubits)
-            except CircuitError as exc:
-                raise QasmParseError(line_no, str(exc)) from exc
+            raise QasmParseError(line_no, f"duplicate operands in {name}{qubits}")
         # Resolved operands are in-range wires, and now distinct and of the
         # right count, so the slot is filled directly, as Circuit.extend does.
         gate = object.__new__(Gate)

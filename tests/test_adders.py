@@ -171,6 +171,11 @@ def test_width_validation():
         build_cuccaro(0)
     with pytest.raises(ValueError):
         build_cond_add(0)
+    # a bool or float width is no width: True would build the width-1 fragment
+    for build in (build_cuccaro, build_vbe, build_cond_add):
+        for m in (True, 2.0):
+            with pytest.raises(CircuitError, match=f"^register size must be an int, not {m}$"):
+                build(m)
     # place checks each role's width, not just the total wire count
     frag = build_cuccaro(3)
     host = Circuit()

@@ -83,6 +83,15 @@ def test_register_allocation_contiguous():
     assert c.registers == {"a": a, "b": b}
     with pytest.raises(CircuitError):
         c.new_register("a", 1)
+    # a bool or float size is no size, and a name must be one export can write
+    for name, size, message in [
+        ("c", True, r"^register size must be an int, not True$"),
+        ("c", 2.0, r"^register size must be an int, not 2\.0$"),
+        (1, 1, r"^register name 1 is not a str$"),
+    ]:
+        with pytest.raises(CircuitError, match=message):
+            c.new_register(name, size)
+    assert c.qubit_count == 5
 
 
 @pytest.mark.parametrize(
@@ -122,6 +131,14 @@ def test_register_allocation_contiguous():
             (2, [("a", (0,)), ("b", (1,))]),
             r"^registers must be a dict, not list$",
             id="registers-list",
+        ),
+        pytest.param((1, {1: (0,)}), r"^register name 1 is not a str$", id="name-int"),
+        pytest.param(
+            (1, {"a": 5}), r"^register 'a' wires must be a tuple, not int$", id="wires-int"
+        ),
+        pytest.param(
+            # a list would not round-trip: import gives back a tuple
+            (1, {"a": [0]}), r"^register 'a' wires must be a tuple, not list$", id="wires-list"
         ),
     ],
 )

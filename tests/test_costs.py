@@ -7,6 +7,9 @@ import pytest
 from revdiv.costs import (
     BASELINES,
     CEIL_REAL_LOG,
+    KINDS,
+    NON_RESTORING,
+    RESTORING,
     ROUNDINGS,
     ROW_IDS,
     STRICT_FLOOR,
@@ -17,7 +20,6 @@ from revdiv.costs import (
     omega,
     table_to_csv,
 )
-from revdiv.divider import KINDS, NON_RESTORING, RESTORING
 
 from divider_costs import WIDTHS, built_costs, row_offsets
 
@@ -29,8 +31,9 @@ def test_omega_values():
     assert omega(2**20 - 1) == 20
     with pytest.raises(ValueError):
         omega(-1)
-    with pytest.raises(ValueError, match="^omega is defined for integers n >= 0$"):
-        omega(2.5)
+    for n in (2.5, True):
+        with pytest.raises(ValueError, match="^omega is defined for integers n >= 0$"):
+            omega(n)
 
 
 def test_omega_matches_popcount_sample():
@@ -62,22 +65,55 @@ def test_takahashi_rca_row_shares_the_built_cuccaro_toffolis():
         assert evaluate_row("takahashi_rca", n)[:2] == built_costs(NON_RESTORING, "cuccaro", n)[:2]
 
 
-# (TD, TC, QC) of the wang_rca and gayathri_rca rows, which share one formula
-# and have no built circuit to be checked against
-SHARED_RCA_ROW = {
-    8: (97, 97, 46),
-    16: (321, 321, 86),
-    32: (1153, 1153, 166),
-    64: (4353, 4353, 326),
-    128: (16897, 16897, 646),
+PINNED_WIDTHS = (8, 16, 32, 64, 128)
+# (TD, TC, QC) at PINNED_WIDTHS for rows no other test pins by value, by row
+# and radix ("n" for r = n), then by rounding.  wang_rca and gayathri_rca share
+# one formula and have no built circuit to be checked against.
+SHARED_RCA_ROW = ((97, 97, 46), (321, 321, 86), (1153, 1153, 166), (4353, 4353, 326),
+                  (16897, 16897, 646))
+ROW_VALUES = {
+    ("wang_rca", None): {CEIL_REAL_LOG: SHARED_RCA_ROW, STRICT_FLOOR: SHARED_RCA_ROW},
+    ("gayathri_rca", None): {CEIL_REAL_LOG: SHARED_RCA_ROW, STRICT_FLOOR: SHARED_RCA_ROW},
+    ("draper_cla", None): {
+        CEIL_REAL_LOG: ((163, 469, 49), (386, 2125, 96), (895, 9181, 191), (2041, 38461, 382),
+                        (4591, 158077, 765)),
+        STRICT_FLOOR: ((153, 473, 49), (369, 2129, 96), (865, 9185, 191), (1985, 38465, 382),
+                       (4481, 158081, 765)),
+    },
+    ("takahashi_low_ancilla", None): {
+        CEIL_REAL_LOG: ((786, 2041, 45), (2011, 7665, 81), (4940, 29665, 152),
+                        (11756, 116673, 293), (27309, 462721, 572)),
+        STRICT_FLOOR: ((745, 2041, 45), (1969, 7665, 81), (4897, 29665, 152),
+                       (11713, 116673, 293), (27265, 462721, 572)),
+    },
+    ("higher_radix", 3): {
+        CEIL_REAL_LOG: ((139, 466, 53), (335, 1870, 103), (791, 7476, 202), (1831, 30466, 404),
+                        (4166, 122973, 807)),
+        STRICT_FLOOR: ((145, 456, 52), (353, 1846, 102), (833, 7424, 201), (1921, 30358, 403),
+                       (4353, 122752, 806)),
+    },
+    ("higher_radix", 4): {
+        CEIL_REAL_LOG: ((166, 483, 53), (388, 1913, 102), (898, 7701, 201), (2044, 31085, 400),
+                        (4593, 125277, 799)),
+        STRICT_FLOOR: ((169, 487, 53), (401, 1917, 102), (929, 7705, 201), (2113, 31089, 400),
+                       (4737, 125281, 799)),
+    },
+    ("higher_radix", "n"): {
+        CEIL_REAL_LOG: ((255, 540, 53), (926, 2108, 101), (3452, 8316, 197),
+                        (13174, 33020, 389), (51180, 131580, 773)),
+        STRICT_FLOOR: ((249, 544, 54), (913, 2112, 102), (3425, 8320, 198),
+                       (13121, 33024, 390), (51073, 131584, 774)),
+    },
 }
 
 
 @pytest.mark.parametrize("rounding", ROUNDINGS)
-@pytest.mark.parametrize("row", ["wang_rca", "gayathri_rca"])
-def test_shared_rca_row_values(row, rounding):
-    for n, want in SHARED_RCA_ROW.items():
-        assert evaluate_row(row, n, rounding=rounding) == want
+@pytest.mark.parametrize(
+    "row, r", [pytest.param(row, r, id=row + f"-r{r}" * (r is not None)) for row, r in ROW_VALUES]
+)
+def test_shared_rca_row_values(row, r, rounding):
+    for n, want in zip(PINNED_WIDTHS, ROW_VALUES[row, r][rounding]):
+        assert evaluate_row(row, n, radix=n if r == "n" else r, rounding=rounding) == want
 
 
 def test_published_32bit_values():

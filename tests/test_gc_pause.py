@@ -1,7 +1,7 @@
-"""Cyclic garbage collection is paused while gates are made in bulk.
+"""Cyclic garbage collection is paused while a divider is built.
 
-``build_divider`` and ``import_text`` pause the collector and restore its
-previous state.  The tests count collections, not seconds.
+``build_divider`` pauses the collector and restores its previous state;
+``import_text`` leaves it alone.  The tests count collections, not seconds.
 """
 import gc
 import hashlib
@@ -40,14 +40,9 @@ def collector_disabled():
 
 def test_build_runs_at_most_one_collection():
     # the one is the young pass once the collector is back on; 110 unpaused
-    (c, _), runs = _count_collections(build_divider, make_params(64, "vbe", RESTORING))
+    _, runs = _count_collections(build_divider, make_params(64, "vbe", RESTORING))
     assert runs <= 1
     assert gc.isenabled()
-    text = export_text(c)
-    imported, runs = _count_collections(import_text, text)  # 71 unpaused
-    assert runs <= 1
-    assert gc.isenabled()
-    assert imported == c
 
 
 def _raising_build(m):
@@ -165,3 +160,18 @@ def test_a_restore_cannot_fall_between_read_and_disable(monkeypatch):
     t.join(timeout=60)
     assert not t.is_alive()
     assert gc.isenabled()
+
+
+def test_import_leaves_the_collector_alone(monkeypatch):
+    # a pause here showed no end-to-end gain, so the parser has none
+    text = export_text(build_divider(make_params(4, "cuccaro", RESTORING))[0])
+    calls = []
+
+    class Collector:  # records every use of gc from revdiv.circuit
+        def __getattr__(self, name):
+            calls.append(name)
+            return getattr(gc, name)
+
+    monkeypatch.setattr(circuit, "gc", Collector())
+    assert export_text(import_text(text)) == text
+    assert calls == []

@@ -37,6 +37,15 @@ def test_root_loads_no_module():
     assert loaded == []
 
 
+def test_costs_loads_no_other_module():
+    # the closed forms stand without the synthesis stack
+    out = _run(
+        "import json, sys, revdiv.costs; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('revdiv.'))))"
+    )
+    assert json.loads(out) == ["revdiv.costs"]
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_module_imports_alone(module):
     _run(f"import revdiv.{module}")
