@@ -40,15 +40,15 @@ class AdderFragment:
             raise CircuitError(
                 f"fragment roles (a, b, carry-out, ancillas) take {want} wires, got {got}"
             )
-        own = (*self.a, *self.b, self.carry_in, self.carry_out, *self.ancillas)
-        host_of = dict(zip(own, (*a, *b, carry_in, carry_out, *ancillas)))
-        host.extend(self.template, [host_of[k] for k in range(self.circuit.qubit_count)])
+        cout = () if carry_out is None else (carry_out,)
+        host.extend(self.template, (*a, *b, carry_in, *cout, *ancillas))
 
     @cached_property
     def template(self) -> Template:
-        """The circuit's placement template, made at the first placement and
-        reused by the rest; the circuit is complete by then."""
-        return Template.of(self.circuit)
+        """The circuit's placement template in :meth:`place`'s role order, made
+        at the first placement and reused by the rest; the circuit is complete by then."""
+        cout = () if self.carry_out is None else (self.carry_out,)
+        return Template.of(self.circuit, (*self.a, *self.b, self.carry_in, *cout, *self.ancillas))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ import threading
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from itertools import repeat
+from itertools import count, repeat
+from operator import itemgetter
 
 GATE_NAMES = ("x", "cx", "ccx")  # the name of a gate on k operands is GATE_NAMES[k - 1]
 GATE_ARITY = {name: k for k, name in enumerate(GATE_NAMES, 1)}
@@ -64,15 +65,17 @@ class Gate:
     qubits: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.qubits) is not tuple:  # a list would leave the gate unhashable
+            raise CircuitError(f"gate operands must be a tuple, not {type(self.qubits).__name__}")
         if not 1 <= len(self.qubits) <= 3:
             raise CircuitError(f"a gate takes 1 to 3 operands, got {len(self.qubits)}")
         # a float would pass the checks below and fail only where simulation,
         # measure or export indexes a list by it; a bool would act as wire 0 or 1
-        if any(type(q) is not int for q in self.qubits):
+        if {*map(type, self.qubits)} != {int}:
             raise CircuitError(f"non-integer operand in {self.name}{self.qubits}")
         if len(set(self.qubits)) != len(self.qubits):
             raise CircuitError(f"duplicate operands in {self.name}{self.qubits}")
-        if any(q < 0 for q in self.qubits):
+        if min(self.qubits) < 0:
             raise CircuitError(f"negative qubit index in {self.name}{self.qubits}")
 
     @property
@@ -83,15 +86,26 @@ class Gate:
         return Gate, (self.qubits,)
 
 
+# Valid operands fill a bare Gate (``_fill`` gives None, so ``or g``); Gate words refusals.
+_new, _fill = object.__new__, Gate.qubits.__set__
+
+
 def x(target: int) -> Gate:
+    if type(target) is int and target >= 0:
+        return _fill(g := _new(Gate), (target,)) or g
     return Gate((target,))
 
 
 def cx(control: int, target: int) -> Gate:
+    if type(control) is type(target) is int and control != target and control >= 0 <= target:
+        return _fill(g := _new(Gate), (control, target)) or g
     return Gate((control, target))
 
 
 def ccx(control1: int, control2: int, target: int) -> Gate:
+    if (type(control1) is type(control2) is type(target) is int and control1 >= 0 <= control2
+            and target >= 0 and control1 != control2 != target != control1):
+        return _fill(g := _new(Gate), (control1, control2, target)) or g
     return Gate((control1, control2, target))
 
 
@@ -129,6 +143,8 @@ class Circuit:
                 if q in used:
                     raise CircuitError(f"registers overlap on wire {q}")
                 used.add(q)
+        if type(self.gates) is not list or not {*map(type, self.gates)} <= {Gate}:
+            raise CircuitError("gates must be a list of Gate")
         for g in self.gates:
             if max(g.qubits) >= n:
                 raise self._out_of_range(g)
@@ -163,15 +179,17 @@ class Circuit:
         """Append every gate of the fragment that ``t`` templates, remapped
         through ``mapping``.
 
-        ``mapping[k]`` is the host wire for fragment wire ``k``.  Equal gates
-        of the fragment append one shared copy.  The fragment is left
-        untouched.
+        ``mapping[k]`` is the host wire for fragment wire ``k``, or for ``wires[k]``
+        if ``t`` came from ``Template.of(c, wires)``.  Equal gates of the
+        fragment append one shared copy.  The fragment is left untouched.
         """
+        mapping = tuple(mapping)  # a getter's slice must yield a tuple
         if len(mapping) != t.qubit_count:
             raise CircuitError(
-                f"mapping length {len(mapping)} != fragment qubit count "
-                f"{t.qubit_count}"
+                f"mapping length {len(mapping)} != fragment qubit count {t.qubit_count}"
             )
+        if not {*map(type, mapping)} <= {int}:
+            raise CircuitError("mapping entries must be ints")
         if len(set(mapping)) != len(mapping):
             raise CircuitError("mapping entries must be pairwise distinct")
         if mapping and (min(mapping) < 0 or max(mapping) >= self.qubit_count):
@@ -181,9 +199,8 @@ class Circuit:
         # It also sends equal gates, and only those, to equal copies, so one
         # copy per distinct gate serves all its positions.  Each map below
         # runs in C; deque(..., 0) drains the one whose items are all None.
-        wires = tuple(map(mapping.__getitem__, t.operands))
-        copies = list(map(object.__new__, repeat(Gate, len(t.slices))))
-        deque(map(Gate.qubits.__set__, copies, map(wires.__getitem__, t.slices)), 0)
+        copies = list(map(_new, repeat(Gate, len(t.getters))))
+        deque(map(_fill, copies, map(itemgetter.__call__, t.getters, repeat(mapping))), 0)
         self.gates += map(copies.__getitem__, t.order)
         return self
 
@@ -193,27 +210,25 @@ class Template:
     """A fragment's placement template: its distinct gates and their order.
 
     ``gates`` are the fragment's gates.  Distinct gate ``i`` is the gate on
-    ``operands[slices[i]]``, and ``gates[k]`` is distinct gate ``order[k]``.
+    ``getters[i](mapping)``, and ``gates[k]`` is distinct gate ``order[k]``.
     Adders uncompute their carries with the gates that computed them, so
     there are about half as many distinct gates as positions.
     """
 
     qubit_count: int
     gates: tuple[Gate, ...]
-    operands: tuple[int, ...]
-    slices: tuple[slice, ...]
+    getters: tuple[itemgetter, ...]
     order: tuple[int, ...]
 
     @classmethod
-    def of(cls, circuit: Circuit) -> "Template":
+    def of(cls, circuit: Circuit, wires: tuple[int, ...] = ()) -> "Template":
+        at = dict(zip(wires or range(circuit.qubit_count), count()))  # wire -> its place
         index: dict[tuple[int, ...], int] = {}  # distinct operands -> number, first seen first
         order = tuple([index.setdefault(g.qubits, len(index)) for g in circuit.gates])
-        operands: list[int] = []
-        slices = []
-        for q in index:
-            slices.append(slice(len(operands), len(operands) + len(q)))
-            operands += q
-        return cls(circuit.qubit_count, tuple(circuit.gates), tuple(operands), tuple(slices), order)
+        # a one-operand gate takes a one-wire slice, which yields a tuple
+        getters = tuple([itemgetter(*map(at.__getitem__, q)) if len(q) > 1
+                         else itemgetter(slice(at[q[0]], at[q[0]] + 1)) for q in index])
+        return cls(circuit.qubit_count, tuple(circuit.gates), getters, order)
 
 
 @dataclass(frozen=True)

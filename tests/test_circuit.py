@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ def test_gate_validation():
     for qubits in [
         (), (0, 1, 2, 3), (0, 0), (0, 0, 1), (0, 1, 1), (-1,), (0, -2),
         (0, 1.5), (1.0,), ("0", 1), (True, 2), (0, 1, False), (0, None), ([0], 1),
+        [0, 1],  # a list would leave the gate unhashable
     ]:
         with pytest.raises(CircuitError):
             Gate(qubits)
@@ -47,6 +49,48 @@ def test_gate_is_slotted_and_frozen():
     # the name follows from the operand count
     assert (x(0).name, cx(0, 1).name, ccx(0, 1, 2).name) == ("x", "cx", "ccx")
     assert pickle.loads(pickle.dumps(g)) == g
+
+
+HELPERS = {1: x, 2: cx, 3: ccx}
+
+
+@pytest.mark.parametrize(
+    "qubits",
+    [
+        (True,), (1.0,), ("0",), (-1,), (None,),
+        (False, 1), (0, 1.5), ("0", 1), (-2, 0), (0, -1), (1, 1), (True, 1),
+        (True, 1, 2), (0, 1, 2.0), (0, "1", 2), (-1, 0, 1), (0, 1, -3),
+        (0, 0, 1), (0, 1, 0), (1, 0, 0), (-1, -1, 0),
+    ],
+)
+def test_helpers_refuse_what_gate_refuses(qubits):
+    # each helper checks its operands inline; a refusal must read as Gate's
+    with pytest.raises(CircuitError) as by_gate:
+        Gate(qubits)
+    with pytest.raises(CircuitError, match=f"^{re.escape(str(by_gate.value))}$"):
+        HELPERS[len(qubits)](*qubits)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=2**70), min_size=1, max_size=3, unique=True))
+def test_helpers_make_what_gate_makes(qubits):
+    q = tuple(qubits)
+    g = HELPERS[len(q)](*q)
+    assert type(g) is Gate and type(g.qubits) is tuple
+    assert g == Gate(q) and g.qubits == q and hash(g) == hash(Gate(q))
+
+
+def test_valid_builds_skip_the_gate_constructor(monkeypatch):
+    # a count in place of a timing gate: valid gates are made by the helpers'
+    # inline checks and by extend's copies, never by Gate's own __post_init__
+    calls = []
+    checked = Gate.__post_init__
+    monkeypatch.setattr(Gate, "__post_init__", lambda g: calls.append(g) or checked(g))
+    for n in range(1, 9):
+        for kind in KINDS:
+            for adder in sorted(ADDERS):
+                build_divider(make_params(n, adder, kind))
+    assert calls == []
+    assert Gate((0, 1)) in calls  # the counter sees a direct construction
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -140,6 +184,10 @@ def test_register_allocation_contiguous():
             # a list would not round-trip: import gives back a tuple
             (1, {"a": [0]}), r"^register 'a' wires must be a tuple, not list$", id="wires-list"
         ),
+        pytest.param((1, {"a": (0,)}, [(0,)]), r"^gates must be a list of Gate$", id="gate-tuple"),
+        pytest.param(
+            (1, {"a": (0,)}, (x(0),)), r"^gates must be a list of Gate$", id="gates-tuple"
+        ),
     ],
 )
 def test_constructor_validation(args, message):
@@ -185,10 +233,27 @@ def test_extend_remaps_and_copies():
         host.extend(Template.of(frag), [2, 2])
     with pytest.raises(CircuitError):
         host.extend(Template.of(frag), [3, 4])
+    # a float or bool entry would be copied onto the gates as an operand
+    for mapping in ([0.0, 2], [True, 2]):
+        with pytest.raises(CircuitError, match=r"^mapping entries must be ints$"):
+            host.extend(Template.of(frag), mapping)
+    assert len(host.gates) == 3
 
 
 def naive_remap(fragment, mapping):
     return [Gate(tuple(mapping[q] for q in g.qubits)) for g in fragment.gates]
+
+
+def test_template_places_every_arity_in_any_wire_order():
+    frag = Circuit(4, {"f": (0, 1, 2, 3)}, [x(2), cx(3, 0), ccx(1, 2, 3), x(2), ccx(0, 3, 1)])
+    host = Circuit(6, {"h": tuple(range(6))})
+    mapping = [5, 0, 3, 1]  # a list: extend's getters must still yield tuples
+    host.extend(Template.of(frag), mapping)
+    # a template made with a wire order takes the host wires in that order
+    wires = (3, 1, 0, 2)
+    host.extend(Template.of(frag, wires), [mapping[k] for k in wires])
+    assert host.gates == 2 * naive_remap(frag, mapping)
+    assert all(type(g) is Gate and type(g.qubits) is tuple for g in host.gates)
 
 
 def test_template_placements_share_within_not_across():
@@ -200,7 +265,7 @@ def test_template_placements_share_within_not_across():
         t.order = ()
     with pytest.raises(dataclasses.FrozenInstanceError):
         t.foo = 1
-    assert len(t.slices) < len(t.order) == len(frag.circuit.gates)
+    assert len(t.getters) < len(t.order) == len(frag.circuit.gates)
     host = Circuit()
     host.new_register("w", 2 * frag.circuit.qubit_count)
     first = list(range(frag.circuit.qubit_count))
