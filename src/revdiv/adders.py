@@ -32,6 +32,16 @@ class AdderFragment:
     carry_out: int | None
     ancillas: tuple[int, ...]
 
+    def __post_init__(self):
+        roles, n = self._roles(), self.circuit.qubit_count
+        if len(roles) != n or {*roles} != {*range(n)}:
+            raise CircuitError(f"fragment roles {roles} must name each of its {n} wires once")
+
+    def _roles(self) -> tuple[int, ...]:
+        """Every role's wires, in :meth:`place`'s order."""
+        cout = () if self.carry_out is None else (self.carry_out,)
+        return (*self.a, *self.b, self.carry_in, *cout, *self.ancillas)
+
     def place(self, host: Circuit, a, b, carry_in: int, carry_out=None, ancillas=()):
         """Append the fragment's gates to ``host``, each role on the given wires."""
         want = (len(self.a), len(self.b), self.carry_out is not None, len(self.ancillas))
@@ -47,8 +57,7 @@ class AdderFragment:
     def template(self) -> Template:
         """The circuit's placement template in :meth:`place`'s role order, made
         at the first placement and reused by the rest; the circuit is complete by then."""
-        cout = () if self.carry_out is None else (self.carry_out,)
-        return Template.of(self.circuit, (*self.a, *self.b, self.carry_in, *cout, *self.ancillas))
+        return Template.of(self.circuit, self._roles())
 
 
 @dataclass(frozen=True)
@@ -150,10 +159,12 @@ def get_adder(name: str) -> AdderBuilder:
 
 
 def _around(frag: AdderFragment, before: list[Gate], after: list[Gate]) -> AdderFragment:
-    """A copy of ``frag``, ``before`` ahead of its gates and ``after`` behind them."""
+    """A copy of ``frag``, ``before`` ahead of its stored gates and ``after`` behind them."""
     c = frag.circuit
-    gates = [*before, *c.gates, *after]
-    return replace(frag, circuit=Circuit(c.qubit_count, dict(c.registers), gates))
+    wrapped = Circuit(c.qubit_count, dict(c.registers), [*before, *after])
+    k = 3 * len(before)
+    wrapped.ops[k:k] = c.ops
+    return replace(frag, circuit=wrapped)
 
 
 def wrap_subtractor(frag: AdderFragment) -> AdderFragment:

@@ -2,20 +2,20 @@
 
 Circuits are ordered gate lists over integer-indexed qubits, with disjoint
 registers: a dict from each register's name to its wires.  A gate is its
-operands; its name follows from their count.  Circuits are append-only:
-builders grow a circuit and hand it out, composition copies gates with an
-index remap.  Toffoli depth is computed by dependency scheduling in which
-NOT/CNOT gates impose ordering but contribute no depth of their own.
+operands; its name follows from their count.  A circuit stores its gates in
+one flat list of ints, three wires per gate, so it makes no object per gate;
+``Circuit.gates`` is a live view of that store.  Builders grow a circuit and
+hand it out, composition copies a fragment's store with an index remap.
+Toffoli depth is computed by dependency scheduling in which NOT/CNOT gates
+impose ordering but contribute no depth of their own.
 """
 from __future__ import annotations
 
-import gc
-import threading
-from collections import deque
-from contextlib import contextmanager
+from collections.abc import MutableSequence
 from dataclasses import asdict, dataclass, field
-from itertools import count, repeat
-from operator import itemgetter
+from itertools import chain, count, starmap
+from math import inf
+from operator import index, itemgetter
 
 GATE_NAMES = ("x", "cx", "ccx")  # the name of a gate on k operands is GATE_NAMES[k - 1]
 GATE_ARITY = {name: k for k, name in enumerate(GATE_NAMES, 1)}
@@ -23,35 +23,6 @@ GATE_ARITY = {name: k for k, name in enumerate(GATE_NAMES, 1)}
 
 class CircuitError(ValueError):
     """Raised for structurally invalid gates, registers or mappings."""
-
-
-# The collector's flag is process-wide.  This lock makes a pause's read and
-# disable one step: were another thread's restore to fall between them, the
-# pause would disable the collector last and, having read it disabled,
-# never enable it again.
-_gc_flag = threading.Lock()
-
-
-@contextmanager
-def gc_paused():
-    """Pause cyclic garbage collection, then restore its previous state.
-
-    For code that makes gates in bulk: a gate holds only a tuple of ints,
-    so gates form no cycles, yet while the collector runs its passes walk
-    every gate made so far, again and again as a circuit grows.  The
-    collector is re-enabled on exit only if it was enabled on entry, so
-    nested pauses and callers that disabled it themselves keep their state.
-    Usable as a decorator.
-    """
-    with _gc_flag:
-        was_enabled = gc.isenabled()
-        gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            with _gc_flag:
-                gc.enable()
 
 
 @dataclass(frozen=True)
@@ -109,17 +80,107 @@ def ccx(control1: int, control2: int, target: int) -> Gate:
     return Gate((control1, control2, target))
 
 
+# what the store puts before a gate's k operands: -1 for each absent control
+_PAD = (None, (-1, -1), (-1,), ())
+
+
+def _checked(gate: Gate, qubit_count: int) -> tuple[int, int, int]:
+    """The operands of ``gate``, a Gate on wires below ``qubit_count``, as
+    the store holds them."""
+    if type(gate) is not Gate:
+        raise CircuitError("gates must be a list of Gate")
+    if max(gate.qubits) >= qubit_count:
+        raise CircuitError(
+            f"gate {gate.name}{gate.qubits} out of range for {qubit_count}-qubit circuit"
+        )
+    return _PAD[len(gate.qubits)] + gate.qubits
+
+
+def _gate(a: int, b: int, t: int) -> Gate:
+    """The gate that the store holds as ``a, b, t``."""
+    return _fill(g := _new(Gate), (a, b, t) if a >= 0 else (b, t) if b >= 0 else (t,)) or g
+
+
+class GateView(MutableSequence):
+    """A live view of an owner's store, its ``ops``, as a list of ``Gate``.
+
+    A read makes a ``Gate`` per gate read; ``len`` makes none.  A write takes
+    ``Gate`` values, checked as :meth:`Circuit.append` checks them, and edits
+    the store in place; a slice is edited as a list of stored triples, in one
+    pass over the store.  A :class:`Template`'s store is a tuple, so its view
+    is read-only.  A view equals a view or a list of the same gates.
+    """
+
+    __slots__ = ("_owner",)
+
+    def __init__(self, owner):
+        self._owner = owner
+
+    def __len__(self) -> int:
+        return len(self._owner.ops) // 3
+
+    def __iter__(self):
+        it = iter(self._owner.ops)
+        return starmap(_gate, zip(it, it, it))
+
+    def _rows(self) -> list[tuple[int, int, int]]:
+        it = iter(self._owner.ops)
+        return list(zip(it, it, it))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(starmap(_gate, self._rows()[i]))
+        k = 3 * range(len(self))[i]
+        return _gate(*self._owner.ops[k : k + 3])
+
+    def __setitem__(self, i, value):
+        if isinstance(i, slice):
+            rows = self._rows()
+            rows[i] = [_checked(g, self._owner.qubit_count) for g in value]
+            self._owner.ops[:] = chain.from_iterable(rows)
+        else:
+            k = 3 * range(len(self))[i]
+            self._owner.ops[k : k + 3] = _checked(value, self._owner.qubit_count)
+
+    def __delitem__(self, i):
+        if isinstance(i, slice):
+            rows = self._rows()
+            del rows[i]
+            self._owner.ops[:] = chain.from_iterable(rows)
+        else:
+            k = 3 * range(len(self))[i]
+            del self._owner.ops[k : k + 3]
+
+    def insert(self, i, value):
+        # the store's empty slice at 3i is where list.insert(i, ...) puts an
+        # item, for any i: a negative i counts from the end, and both ends clip
+        k = 3 * index(i)
+        self._owner.ops[k:k] = _checked(value, self._owner.qubit_count)
+
+    def __eq__(self, other):
+        if isinstance(other, GateView):
+            return list(self._owner.ops) == list(other._owner.ops)
+        return list(self) == other if isinstance(other, list) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 @dataclass
 class Circuit:
     """Ordered gate list over ``qubit_count`` wires with disjoint registers.
 
     ``registers`` maps each register's name to its wires, index 0 the least
-    significant bit, in the order the registers were declared.
+    significant bit, in the order the registers were declared.  ``ops`` is
+    the store: three wires per gate, controls first and target last, and
+    -1 for each control an ``x`` or ``cx`` lacks.  ``gates`` is a live
+    :class:`GateView` of it; the constructor, like assigning ``gates``,
+    takes a list of ``Gate`` or another circuit's view, and copies it.
     """
 
     qubit_count: int = 0
     registers: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    gates: list[Gate] = field(default_factory=list)
+    gates: GateView = field(default_factory=list)  # through the property set below
 
     def __post_init__(self):
         n = self.qubit_count
@@ -143,16 +204,12 @@ class Circuit:
                 if q in used:
                     raise CircuitError(f"registers overlap on wire {q}")
                 used.add(q)
-        if type(self.gates) is not list or not {*map(type, self.gates)} <= {Gate}:
-            raise CircuitError("gates must be a list of Gate")
-        for g in self.gates:
-            if max(g.qubits) >= n:
-                raise self._out_of_range(g)
 
-    def _out_of_range(self, gate: Gate) -> CircuitError:
-        return CircuitError(
-            f"gate {gate.name}{gate.qubits} out of range for {self.qubit_count}-qubit circuit"
-        )
+    def _set_gates(self, gates) -> None:
+        if type(gates) is not list and not isinstance(gates, GateView):
+            raise CircuitError("gates must be a list of Gate")
+        n = self.qubit_count  # the constructor sets it first and checks it after
+        self.ops = [q for g in gates for q in _checked(g, n if type(n) is int else inf)]
 
     def new_register(self, name: str, size: int) -> tuple[int, ...]:
         """Allocate ``size`` fresh wires as a contiguous named register and
@@ -170,9 +227,10 @@ class Circuit:
         return wires
 
     def append(self, gate: Gate) -> "Circuit":
-        if max(gate.qubits) >= self.qubit_count:
-            raise self._out_of_range(gate)
-        self.gates.append(gate)
+        # _checked inline but for its refusals: builders append gate by gate
+        if type(gate) is not Gate or max(q := gate.qubits) >= self.qubit_count:
+            _checked(gate, self.qubit_count)
+        self.ops.extend(_PAD[len(q)] + q)
         return self
 
     def extend(self, t: Template, mapping: list[int] | tuple[int, ...]) -> Circuit:
@@ -180,10 +238,10 @@ class Circuit:
         through ``mapping``.
 
         ``mapping[k]`` is the host wire for fragment wire ``k``, or for ``wires[k]``
-        if ``t`` came from ``Template.of(c, wires)``.  Equal gates of the
-        fragment append one shared copy.  The fragment is left untouched.
+        if ``t`` came from ``Template.of(c, wires)``.  The fragment is left
+        untouched.
         """
-        mapping = tuple(mapping)  # a getter's slice must yield a tuple
+        mapping = tuple(mapping)
         if len(mapping) != t.qubit_count:
             raise CircuitError(
                 f"mapping length {len(mapping)} != fragment qubit count {t.qubit_count}"
@@ -195,40 +253,39 @@ class Circuit:
         if mapping and (min(mapping) < 0 or max(mapping) >= self.qubit_count):
             raise CircuitError("mapping entry out of range for host circuit")
         # An injective, in-range map sends a valid gate to a valid gate, so
-        # the copies skip Gate.__post_init__ and fill their one slot directly.
-        # It also sends equal gates, and only those, to equal copies, so one
-        # copy per distinct gate serves all its positions.  Each map below
-        # runs in C; deque(..., 0) drains the one whose items are all None.
-        copies = list(map(_new, repeat(Gate, len(t.getters))))
-        deque(map(_fill, copies, map(itemgetter.__call__, t.getters, repeat(mapping))), 0)
-        self.gates += map(copies.__getitem__, t.order)
+        # the remapped store is appended as it comes, in one C call; the
+        # absent controls sit at place -1 and pick the -1 appended here.
+        self.ops += t.getter((*mapping, -1))
         return self
+
+
+Circuit.gates = property(GateView, Circuit._set_gates, doc="A live view of the gates.")
 
 
 @dataclass(frozen=True)
 class Template:
-    """A fragment's placement template: its distinct gates and their order.
+    """A fragment's placement template: its store over places, and one getter.
 
-    ``gates`` are the fragment's gates.  Distinct gate ``i`` is the gate on
-    ``getters[i](mapping)``, and ``gates[k]`` is distinct gate ``order[k]``.
-    Adders uncompute their carries with the gates that computed them, so
-    there are about half as many distinct gates as positions.
+    ``ops`` is the fragment's store with each wire replaced by its place:
+    place ``k`` is fragment wire ``k``, or ``wires[k]`` if the template came
+    from ``Template.of(c, wires)``, and an absent control keeps place -1.
+    ``getter`` picks every entry of ``ops`` out of a mapping, so a mapping
+    with -1 appended gives the placed store.  ``gates`` views ``ops``.
     """
 
     qubit_count: int
-    gates: tuple[Gate, ...]
-    getters: tuple[itemgetter, ...]
-    order: tuple[int, ...]
+    ops: tuple[int, ...]
+    getter: itemgetter
+
+    gates = property(GateView)
 
     @classmethod
     def of(cls, circuit: Circuit, wires: tuple[int, ...] = ()) -> "Template":
         at = dict(zip(wires or range(circuit.qubit_count), count()))  # wire -> its place
-        index: dict[tuple[int, ...], int] = {}  # distinct operands -> number, first seen first
-        order = tuple([index.setdefault(g.qubits, len(index)) for g in circuit.gates])
-        # a one-operand gate takes a one-wire slice, which yields a tuple
-        getters = tuple([itemgetter(*map(at.__getitem__, q)) if len(q) > 1
-                         else itemgetter(slice(at[q[0]], at[q[0]] + 1)) for q in index])
-        return cls(circuit.qubit_count, tuple(circuit.gates), getters, order)
+        at[-1] = -1
+        ops = tuple(map(at.__getitem__, circuit.ops))
+        # an empty store takes an empty slice, which yields an empty tuple
+        return cls(circuit.qubit_count, ops, itemgetter(*ops) if ops else itemgetter(slice(0)))
 
 
 @dataclass(frozen=True)
@@ -249,37 +306,34 @@ def measure(circuit: Circuit) -> ResourceReport:
 
     Every gate waits for all earlier gates it shares a wire with.  A Toffoli
     then sits one level deeper; NOT/CNOT stay on the level they inherit, so a
-    Clifford-only circuit has depth 0.  One pass reads each gate's operands
-    once and dispatches on their count: a Toffoli takes the highest of its
-    three levels by two comparisons, and a CNOT copies the higher of its two
-    levels onto the other wire.
+    Clifford-only circuit has depth 0.  One pass reads each stored triple
+    once and dispatches on its first present control: a Toffoli takes the
+    highest of its three levels by two comparisons, and a CNOT copies the
+    higher of its two levels onto the other wire.
     """
     level = [0] * circuit.qubit_count
     depth = 0
     count = 0
-    for g in circuit.gates:
-        q = g.qubits
-        n = len(q)
-        if n == 3:
-            a, b, t = q
+    it = iter(circuit.ops)
+    for a, b, t in zip(it, it, it):
+        if a >= 0:
             u, v, w = level[a], level[b], level[t]
             v = ((u if u > w else w) if u > v else (v if v > w else w)) + 1
             level[a] = level[b] = level[t] = v
             count += 1
             if v > depth:
                 depth = v
-        elif n == 2:
+        elif b >= 0:
             # both wires end on the higher level; only the lower one moves
-            a, t = q
-            v, w = level[a], level[t]
+            v, w = level[b], level[t]
             if v > w:
                 level[t] = v
             elif w > v:
-                level[a] = w
+                level[b] = w
         # x touches one wire, so it moves no level
     return ResourceReport(
         toffoli_depth=depth,
         toffoli_count=count,
         qubit_count=circuit.qubit_count,
-        gate_total=len(circuit.gates),
+        gate_total=len(circuit.ops) // 3,
     )

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .adders import AdderBuilder, build_cond_add, get_adder, wrap_add_sub, wrap_subtractor
-from .circuit import Circuit, ccx, cx, gc_paused, x
+from .circuit import Circuit, ccx, cx, x
 from .circuit import measure  # noqa: F401  (traced benchmark runs patch divider.measure)
 # KINDS is unused here, but benchmark workloads read divider.KINDS
 from .costs import KINDS, NON_RESTORING, RESTORING, check_width_and_kind  # noqa: F401
@@ -119,18 +119,9 @@ def layout_from_circuit(circuit: Circuit) -> DividerLayout:
     )
 
 
-@gc_paused()
 def build_divider(params: DividerParams) -> tuple[Circuit, DividerLayout]:
     """The divider circuit and its layout; iteration i works on window i and
-    writes its carry-out, the quotient bit, to wire ``quotient_positions[n-i]``.
-
-    Cyclic garbage collection is paused while the gates are made and its
-    previous state restored after (:func:`revdiv.circuit.gc_paused`).  That
-    is safe: a gate holds only a tuple of ints, so gates form no cycles, and
-    any other garbage waits for the next collection.  The collector's flag
-    is process-wide, so a caller that disables it from another thread
-    during a build may find it re-enabled.
-    """
+    writes its carry-out, the quotient bit, to wire ``quotient_positions[n-i]``."""
     n, adder, kind = params.n, params.adder, params.kind
     m = n + 1
     frag = adder.build(m)  # the one adder build; both wrappers copy it

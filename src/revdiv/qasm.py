@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterator
+from itertools import islice
 
-from .circuit import Circuit, Gate, GATE_ARITY
+from .circuit import Circuit, GATE_ARITY
 
 HEADER = "OPENQASM 3.0;"
 
@@ -20,6 +21,13 @@ HEADER = "OPENQASM 3.0;"
 # declared wire costs about 160 B, chiefly its "reg[i]" operand-table entry,
 # so the cap bounds that at about 164 MB; an n=128 divider declares 641.
 MAX_WIRES = 2**20
+
+# Export joins its lines this many at a time, and import caches the stored
+# triples of up to this many raw lines, then starts its cache over.  All of
+# export's line strings at once, or an unbounded cache, raised the traced
+# peak for the n=64 restoring VBE divider past the bounds in
+# tests/test_qasm.py; these stay well below them.
+_LINE_BATCH = 4096
 
 # import splits its text into lines a piece at a time, each piece this many
 # characters and then on to the next "\n", so that the whole text's line
@@ -46,13 +54,9 @@ class QasmParseError(ValueError):
 def export_text(circuit: Circuit) -> str:
     """Render a circuit as OpenQASM-subset text (UTF-8, LF line endings).
 
-    Equal gates, whether one shared ``Gate`` or not, render to one line
-    that is made once: each gate looks its operands up in the dict of its
-    operand count, and a miss spells the line by that count.  The text is
-    made by one join, after the dicts are emptied, so it exists once.  One
-    dict keyed by operands alone measured worse: it raised the
-    ``tracemalloc`` peak of exporting the n=128 restoring VBE divider, a
-    6.1 MB text, from 15.7 to 16.4 MB.
+    Each stored triple is spelled by its first present control.  The lines
+    are joined ``_LINE_BATCH`` at a time, and the pieces once more, so
+    the line strings of one piece at most exist at once.
     """
     regs = circuit.registers.items()
     covered: list[int] = []
@@ -69,31 +73,19 @@ def export_text(circuit: Circuit) -> str:
 
     # the registers tile the wires in order, so wire q's name is refs[q]
     refs = [f"{name}[{i}]" for name, wires in regs for i in range(len(wires))]
-    lines = [HEADER]
-    for name, wires in regs:
-        lines.append(f"qubit[{len(wires)}] {name};")
-    made: dict[int, dict[tuple[int, ...], str]] = {k: {} for k in GATE_ARITY.values()}
-    append = lines.append
-    for g in circuit.gates:
-        q = g.qubits
-        n = len(q)
-        by_qubits = made[n]
-        line = by_qubits.get(q)
-        if line is None:
-            if n == 3:
-                line = f"ccx {refs[q[0]]}, {refs[q[1]]}, {refs[q[2]]};"
-            elif n == 2:
-                line = f"cx {refs[q[0]]}, {refs[q[1]]};"
-            else:
-                line = f"x {refs[q[0]]};"
-            by_qubits[q] = line
-        append(line)
-    # the join is the peak: empty the caches before it, and end the text
-    # with its last "\n" in the one join, not by copying the joined text
-    for by_qubits in made.values():
-        by_qubits.clear()
-    append("")
-    return "\n".join(lines)
+    parts = [HEADER, *(f"qubit[{len(wires)}] {name};" for name, wires in regs)]
+    it = iter(circuit.ops)
+    rows = zip(it, it, it)
+    while lines := [
+        f"ccx {refs[a]}, {refs[b]}, {refs[t]};" if a >= 0
+        else f"cx {refs[b]}, {refs[t]};" if b >= 0
+        else f"x {refs[t]};"
+        for a, b, t in islice(rows, _LINE_BATCH)
+    ]:
+        parts.append("\n".join(lines))
+    # end the text with its last "\n" in the one join, not by copying it
+    parts.append("")
+    return "\n".join(parts)
 
 
 def import_text(text: str) -> Circuit:
@@ -102,24 +94,23 @@ def import_text(text: str) -> Circuit:
     Lines end at ``"\n"`` only; a ``"\r"`` before it is dropped with the
     other surrounding whitespace.  The text is split into lines in bounded
     pieces as the parse goes, so its lines never all exist at once.  A raw
-    line already parsed in this call appends the same ``Gate`` again, so
-    gates may be shared between positions.  A line spelled as
+    line parsed lately in this call appends its cached stored triple again
+    (see ``_LINE_BATCH``).  A line spelled as
     :func:`export_text` writes it splits at ``", "``; any other line is
     split once its comment and whitespace are dropped.  Operands resolve
     through the ``"reg[i]"`` table that the declarations fill;
     ``_OPERAND_RE`` reads only a token the table lacks.
     """
     circuit = Circuit()
-    gates, registers = circuit.gates, circuit.registers
+    ops, registers = circuit.ops, circuit.registers
     wires: dict[str, int] = {}  # "reg[i]" -> wire, for every declared wire
-    seen: dict[str, Gate] = {}  # raw gate line -> its Gate
-    set_qubits = Gate.qubits.__set__
+    seen: dict[str, tuple[int, int, int]] = {}  # raw gate line -> its stored triple
     saw_header = False
 
     for line_no, raw in enumerate(_lines(text), start=1):
-        gate = seen.get(raw)
-        if gate is not None:
-            gates.append(gate)
+        op = seen.get(raw)
+        if op is not None:
+            ops += op
             continue
         qubits = None
         name, _, rest = raw.partition(" ")
@@ -146,7 +137,7 @@ def import_text(text: str) -> Circuit:
                 m = _DECL_RE.match(line)
                 if not m:
                     raise QasmParseError(line_no, f"bad declaration {_quote(line)}")
-                if gates:
+                if ops:
                     raise QasmParseError(line_no, "declaration after gate statement")
                 size, name = int(m.group(1)), m.group(2)
                 if circuit.qubit_count + size > MAX_WIRES:
@@ -184,11 +175,11 @@ def import_text(text: str) -> Circuit:
         if len(set(qubits)) < len(qubits):
             raise QasmParseError(line_no, f"duplicate operands in {name}{qubits}")
         # Resolved operands are in-range wires, and now distinct and of the
-        # right count, so the slot is filled directly, as Circuit.extend does.
-        gate = object.__new__(Gate)
-        set_qubits(gate, qubits)
-        gates.append(gate)
-        seen[raw] = gate
+        # right count, so they go to the store as they are, as extend's do.
+        if len(seen) == _LINE_BATCH:
+            seen.clear()
+        seen[raw] = op = (-1, -1, *qubits)[-3:]  # -1 for each absent control
+        ops += op
 
     if not saw_header:
         raise QasmParseError(1, "missing OPENQASM header")

@@ -27,17 +27,14 @@ def apply_planes(circuit: Circuit, planes: list[int], ones: int) -> list[int]:
             f"state length {len(planes)} != qubit count {circuit.qubit_count}"
         )
     w = planes
-    for g in circuit.gates:
-        q = g.qubits
-        n = len(q)
-        if n == 3:
-            a, b, t = q
+    it = iter(circuit.ops)
+    for a, b, t in zip(it, it, it):
+        if a >= 0:
             w[t] ^= w[a] & w[b]
-        elif n == 2:
-            a, t = q
-            w[t] ^= w[a]
+        elif b >= 0:
+            w[t] ^= w[b]
         else:
-            w[q[0]] ^= ones
+            w[t] ^= ones
     return w
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from revdiv.adders import (
@@ -186,3 +188,21 @@ def test_width_validation():
             frag.place(host, a, b, wires[6], wires[7])
     with pytest.raises(CircuitError):
         frag.place(host, wires[0:3], wires[3:6], wires[6])  # carry-out missing
+
+
+@pytest.mark.parametrize(
+    "roles",
+    [
+        pytest.param({"a": (0, 0)}, id="repeated"),
+        pytest.param({"b": (2, 9)}, id="outside"),
+        pytest.param({"carry_in": -1}, id="negative"),
+        pytest.param({"carry_out": None}, id="wire-left-out"),
+        pytest.param({"ancillas": (6,)}, id="extra"),
+    ],
+)
+def test_fragment_roles_name_each_wire_once(roles):
+    # refused when the fragment is made, not at its first placement
+    frag = build_cuccaro(2)
+    with pytest.raises(CircuitError, match=r"^fragment roles \(.*\) must name each of its 6 wires once$"):
+        replace(frag, **roles)
+    assert replace(frag, a=frag.b, b=frag.a).template.qubit_count == 6

@@ -276,6 +276,25 @@ def _drop_middle_gate(gates):
     del gates[len(gates) // 2]
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("adder", ADDER_NAMES)
+def test_a_toffoli_deleted_through_the_view_is_seen(kind, adder):
+    # the benchmark's fault injector: the first gate named "ccx" in c.gates,
+    # deleted from the view, must reach the store that every reader walks
+    n = 4
+    c, layout = build_divider(make_params(n, adder, kind))
+    report, text = measure(c), export_text(c)
+    index = [divider._index_plane(j, 2 * n) >> (1 << n) for j in range(2 * n)]
+    ones = (1 << (((1 << n) - 1) << n)) - 1
+    check = lambda: divider._check_divisions(c, layout, index[:n], index[n:], ones)[1]
+    assert check().ok
+    _drop_first_toffoli(c.gates)
+    assert len(c.ops) == 3 * (report.gate_total - 1)
+    assert measure(c).toffoli_count == report.toffoli_count - 1
+    assert export_text(c) != text
+    assert not check().ok
+
+
 def _verify_lane_by_lane(c, layout):
     """Reference sweep: one simulation per division, in lane order.
 

@@ -323,6 +323,17 @@ def test_export_matches_reference_renderer(c):
     assert export_text(c) == _reference_export(c)
 
 
+@settings(max_examples=200, deadline=None)
+@given(circuits(1, 12, 30, tiled=True), st.integers(1, 4))
+def test_small_line_batches_export_and_import_alike(c, batch):
+    # export's batches and import's cache bound are shrunk so that short
+    # circuits cross many batches and restart the cache often
+    with mock.patch.object(qasm, "_LINE_BATCH", batch):
+        text = export_text(c)
+        assert text == _reference_export(c)
+        assert import_text(text) == c
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.text(alphabet="ab/ \r\n", max_size=60), st.integers(1, 8))
 @example("", 1)
@@ -376,9 +387,11 @@ def restoring_vbe_64():
 
 
 # Each bound sits about 10 % above the highest ratio measured on Python
-# 3.10-3.13, with and without dev mode, for the n=64 restoring VBE divider:
-# export 2.56-2.70 times its text and import 1.90-2.11 times what it keeps.
-# Holding a second copy of the text read 3.31-4.31 and 2.98-3.34.
+# 3.10-3.13, with and without dev mode, for the n=64 restoring VBE divider
+# when a circuit held a Gate per gate: export 2.56-2.70 times its text and
+# import 1.90-2.11 times what it keeps.  Holding a second copy of the text
+# read 3.31-4.31 and 2.98-3.34.  With the flat store and export's line
+# batches they read 2.02 and 1.24-1.29.
 def test_export_peak_is_bounded_by_its_text(restoring_vbe_64):
     text, _, peak = _traced(export_text, restoring_vbe_64)
     assert peak < 3.0 * len(text)
