@@ -14,7 +14,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .circuit import Circuit, CircuitError, Gate, Template, ccx, cx, x
+from .circuit import Circuit, CircuitError, Template
 
 
 @dataclass(frozen=True)
@@ -94,22 +94,22 @@ def build_cuccaro(m: int) -> AdderFragment:
     carries = [cin] + list(a[:-1])  # wire holding carry into bit i
     for i in range(m - 1):
         ci = carries[i]
-        c.append(cx(a[i], b[i]))
-        c.append(cx(a[i], ci))
-        c.append(ccx(ci, b[i], a[i]))
+        c.cx(a[i], b[i])
+        c.cx(a[i], ci)
+        c.ccx(ci, b[i], a[i])
     # top bit: sum into b[m-1], majority into cout
     ct = carries[m - 1]
-    c.append(cx(ct, b[m - 1]))
-    c.append(cx(ct, a[m - 1]))
-    c.append(ccx(a[m - 1], b[m - 1], cout))
-    c.append(cx(ct, cout))
-    c.append(cx(ct, a[m - 1]))
-    c.append(cx(a[m - 1], b[m - 1]))
+    c.cx(ct, b[m - 1])
+    c.cx(ct, a[m - 1])
+    c.ccx(a[m - 1], b[m - 1], cout)
+    c.cx(ct, cout)
+    c.cx(ct, a[m - 1])
+    c.cx(a[m - 1], b[m - 1])
     for i in reversed(range(m - 1)):
         ci = carries[i]
-        c.append(ccx(ci, b[i], a[i]))
-        c.append(cx(a[i], ci))
-        c.append(cx(ci, b[i]))
+        c.ccx(ci, b[i], a[i])
+        c.cx(a[i], ci)
+        c.cx(ci, b[i])
     return frag
 
 
@@ -123,22 +123,22 @@ def build_vbe(m: int) -> AdderFragment:
     carry = [cin] + list(frag.ancillas) + [cout]  # carry[i] = carry into bit i
 
     def carry_fwd(i):
-        c.append(ccx(a[i], b[i], carry[i + 1]))
-        c.append(cx(a[i], b[i]))
-        c.append(ccx(carry[i], b[i], carry[i + 1]))
+        c.ccx(a[i], b[i], carry[i + 1])
+        c.cx(a[i], b[i])
+        c.ccx(carry[i], b[i], carry[i + 1])
 
     def carry_rev(i):
-        c.append(ccx(carry[i], b[i], carry[i + 1]))
-        c.append(cx(a[i], b[i]))
-        c.append(ccx(a[i], b[i], carry[i + 1]))
+        c.ccx(carry[i], b[i], carry[i + 1])
+        c.cx(a[i], b[i])
+        c.ccx(a[i], b[i], carry[i + 1])
 
     def sum_(i):
-        c.append(cx(a[i], b[i]))
-        c.append(cx(carry[i], b[i]))
+        c.cx(a[i], b[i])
+        c.cx(carry[i], b[i])
 
     for i in range(m):
         carry_fwd(i)
-    c.append(cx(a[m - 1], b[m - 1]))
+    c.cx(a[m - 1], b[m - 1])
     sum_(m - 1)
     for i in reversed(range(m - 1)):
         carry_rev(i)
@@ -158,12 +158,13 @@ def get_adder(name: str) -> AdderBuilder:
         raise ValueError(f"unknown adder {name!r}; choose from {sorted(ADDERS)}")
 
 
-def _around(frag: AdderFragment, before: list[Gate], after: list[Gate]) -> AdderFragment:
-    """A copy of ``frag``, ``before`` ahead of its stored gates and ``after`` behind them."""
+def _around(frag: AdderFragment, before: list[int], after: list[int]) -> AdderFragment:
+    """A copy of ``frag``, the stored gates ``before`` ahead of its store and
+    ``after`` behind it.  The wrappers' flips act on the fragment's roles,
+    which name distinct wires of it, so they are stored unchecked."""
     c = frag.circuit
-    wrapped = Circuit(c.qubit_count, dict(c.registers), [*before, *after])
-    k = 3 * len(before)
-    wrapped.ops[k:k] = c.ops
+    wrapped = Circuit(c.qubit_count, dict(c.registers))
+    wrapped.ops = before + c.ops + after
     return replace(frag, circuit=wrapped)
 
 
@@ -175,8 +176,8 @@ def wrap_subtractor(frag: AdderFragment) -> AdderFragment:
     its input value, and the carry-out receives the no-borrow flag
     (1 iff b >= a).  No Toffoli gates beyond the wrapped adder.
     """
-    flips = list(map(x, frag.a))
-    return _around(frag, [x(frag.carry_in), *flips], [*flips, x(frag.carry_in)])
+    flips = [q for w in frag.a for q in (-1, -1, w)]
+    return _around(frag, [-1, -1, frag.carry_in, *flips], [*flips, -1, -1, frag.carry_in])
 
 
 def wrap_add_sub(frag: AdderFragment) -> AdderFragment:
@@ -187,7 +188,7 @@ def wrap_add_sub(frag: AdderFragment) -> AdderFragment:
     carry-out is the addition overflow, resp. the no-borrow flag; in both
     cases it reads 1 exactly when the signed result is non-negative.
     """
-    flips = [cx(frag.carry_in, q) for q in frag.a]
+    flips = [q for w in frag.a for q in (-1, frag.carry_in, w)]
     return _around(frag, flips, flips)
 
 
@@ -201,17 +202,17 @@ def build_cond_add(m: int) -> AdderFragment:
     frag = _adder_shell(m, 0, carry_out=False)
     c, a, b, ctrl = frag.circuit, frag.a, frag.b, frag.carry_in
     for i in range(1, m):
-        c.append(cx(a[i], b[i]))
+        c.cx(a[i], b[i])
     for i in range(m - 2, 0, -1):
-        c.append(cx(a[i], a[i + 1]))
+        c.cx(a[i], a[i + 1])
     for i in range(m - 1):
-        c.append(ccx(a[i], b[i], a[i + 1]))
+        c.ccx(a[i], b[i], a[i + 1])
     for i in range(m - 1, 0, -1):
-        c.append(ccx(ctrl, a[i], b[i]))
-        c.append(ccx(a[i - 1], b[i - 1], a[i]))
-    c.append(ccx(ctrl, a[0], b[0]))
+        c.ccx(ctrl, a[i], b[i])
+        c.ccx(a[i - 1], b[i - 1], a[i])
+    c.ccx(ctrl, a[0], b[0])
     for i in range(1, m - 1):
-        c.append(cx(a[i], a[i + 1]))
+        c.cx(a[i], a[i + 1])
     for i in range(1, m):
-        c.append(cx(a[i], b[i]))
+        c.cx(a[i], b[i])
     return frag

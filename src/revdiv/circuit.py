@@ -4,8 +4,10 @@ Circuits are ordered gate lists over integer-indexed qubits, with disjoint
 registers: a dict from each register's name to its wires.  A gate is its
 operands; its name follows from their count.  A circuit stores its gates in
 one flat list of ints, three wires per gate, so it makes no object per gate;
-``Circuit.gates`` is a live view of that store.  Builders grow a circuit and
-hand it out, composition copies a fragment's store with an index remap.
+``Circuit.gates`` is a live view of that store.  Builders grow a circuit
+through its writers ``x``, ``cx`` and ``ccx``, which store a gate without
+making one, and hand it out; composition copies a fragment's store with an
+index remap.
 Toffoli depth is computed by dependency scheduling in which NOT/CNOT gates
 impose ordering but contribute no depth of their own.
 """
@@ -57,26 +59,15 @@ class Gate:
         return Gate, (self.qubits,)
 
 
-# Valid operands fill a bare Gate (``_fill`` gives None, so ``or g``); Gate words refusals.
-_new, _fill = object.__new__, Gate.qubits.__set__
-
-
 def x(target: int) -> Gate:
-    if type(target) is int and target >= 0:
-        return _fill(g := _new(Gate), (target,)) or g
     return Gate((target,))
 
 
 def cx(control: int, target: int) -> Gate:
-    if type(control) is type(target) is int and control != target and control >= 0 <= target:
-        return _fill(g := _new(Gate), (control, target)) or g
     return Gate((control, target))
 
 
 def ccx(control1: int, control2: int, target: int) -> Gate:
-    if (type(control1) is type(control2) is type(target) is int and control1 >= 0 <= control2
-            and target >= 0 and control1 != control2 != target != control1):
-        return _fill(g := _new(Gate), (control1, control2, target)) or g
     return Gate((control1, control2, target))
 
 
@@ -94,6 +85,11 @@ def _checked(gate: Gate, qubit_count: int) -> tuple[int, int, int]:
             f"gate {gate.name}{gate.qubits} out of range for {qubit_count}-qubit circuit"
         )
     return _PAD[len(gate.qubits)] + gate.qubits
+
+
+# A stored triple is a valid gate, so the view fills a bare Gate and skips
+# its checks (``_fill`` gives None, so ``or g``).
+_new, _fill = object.__new__, Gate.qubits.__set__
 
 
 def _gate(a: int, b: int, t: int) -> Gate:
@@ -227,11 +223,35 @@ class Circuit:
         return wires
 
     def append(self, gate: Gate) -> "Circuit":
-        # _checked inline but for its refusals: builders append gate by gate
-        if type(gate) is not Gate or max(q := gate.qubits) >= self.qubit_count:
-            _checked(gate, self.qubit_count)
-        self.ops.extend(_PAD[len(q)] + q)
+        self.ops += _checked(gate, self.qubit_count)
         return self
+
+    # The writers store one gate each.  Their inline checks accept what Gate
+    # and _checked accept; anything else goes through those two, which word
+    # the refusal.
+    def x(self, t: int) -> None:
+        """Append a NOT on wire ``t``."""
+        if type(t) is int and 0 <= t < self.qubit_count:
+            self.ops.extend((-1, -1, t))
+        else:
+            self.ops += _checked(Gate((t,)), self.qubit_count)
+
+    def cx(self, c: int, t: int) -> None:
+        """Append a CNOT from wire ``c`` onto wire ``t``."""
+        n = self.qubit_count
+        if type(c) is type(t) is int and c != t and 0 <= c < n and 0 <= t < n:
+            self.ops.extend((-1, c, t))
+        else:
+            self.ops += _checked(Gate((c, t)), n)
+
+    def ccx(self, c1: int, c2: int, t: int) -> None:
+        """Append a Toffoli from wires ``c1`` and ``c2`` onto wire ``t``."""
+        n = self.qubit_count
+        if (type(c1) is type(c2) is type(t) is int and c1 != c2 != t != c1
+                and 0 <= c1 < n and 0 <= c2 < n and 0 <= t < n):
+            self.ops.extend((c1, c2, t))
+        else:
+            self.ops += _checked(Gate((c1, c2, t)), n)
 
     def extend(self, t: Template, mapping: list[int] | tuple[int, ...]) -> Circuit:
         """Append every gate of the fragment that ``t`` templates, remapped
@@ -281,9 +301,12 @@ class Template:
 
     @classmethod
     def of(cls, circuit: Circuit, wires: tuple[int, ...] = ()) -> "Template":
-        at = dict(zip(wires or range(circuit.qubit_count), count()))  # wire -> its place
-        at[-1] = -1
-        ops = tuple(map(at.__getitem__, circuit.ops))
+        if wires in ((), tuple(range(circuit.qubit_count))):
+            ops = tuple(circuit.ops)  # each wire is its own place
+        else:
+            at = dict(zip(wires, count()))  # wire -> its place
+            at[-1] = -1
+            ops = tuple(map(at.__getitem__, circuit.ops))
         # an empty store takes an empty slice, which yields an empty tuple
         return cls(circuit.qubit_count, ops, itemgetter(*ops) if ops else itemgetter(slice(0)))
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .adders import AdderBuilder, build_cond_add, get_adder, wrap_add_sub, wrap_subtractor
-from .circuit import Circuit, ccx, cx, x
+from .circuit import Circuit
 from .circuit import measure  # noqa: F401  (traced benchmark runs patch divider.measure)
 # KINDS is unused here, but benchmark workloads read divider.KINDS
 from .costs import KINDS, NON_RESTORING, RESTORING, check_width_and_kind  # noqa: F401
@@ -150,8 +150,8 @@ def build_divider(params: DividerParams) -> tuple[Circuit, DividerLayout]:
             addsub.place(c, d, windows[i], couts[i - 1], couts[i], anc)
         # Step 3: copy the final sign onto the control wire and conditionally
         # add the divisor back.
-        c.append(cx(couts[-1], s))
-        c.append(x(s))
+        c.cx(couts[-1], s)
+        c.x(s)
         cond.place(c, d, windows[-1], s)
     else:
         z = c.registers["z"][0]
@@ -160,9 +160,9 @@ def build_divider(params: DividerParams) -> tuple[Circuit, DividerLayout]:
                 _restoring_sign_width1(c, d, w, cw)
             else:
                 sub.place(c, d, w, z, cw, anc)
-                c.append(x(cw))  # carry-out -> sign
+                c.x(cw)  # carry-out -> sign
             cond.place(c, d, w, cw)
-            c.append(x(cw))  # sign -> quotient bit
+            c.x(cw)  # sign -> quotient bit
     return c, layout
 
 
@@ -175,13 +175,13 @@ def _restoring_sign_width1(c: Circuit, d, w: list[int], z: int) -> None:
     control and ends up holding the quotient bit.  The adder's ancillas at
     width 2 are still reserved so the qubit budget matches the closed form.
     """
-    c.append(x(w[0]))
-    c.append(x(w[1]))
-    c.append(ccx(d[0], w[0], w[1]))
-    c.append(cx(d[0], w[0]))
-    c.append(x(w[0]))
-    c.append(x(w[1]))
-    c.append(cx(w[1], z))  # z <- sign
+    c.x(w[0])
+    c.x(w[1])
+    c.ccx(d[0], w[0], w[1])
+    c.cx(d[0], w[0])
+    c.x(w[0])
+    c.x(w[1])
+    c.cx(w[1], z)  # z <- sign
 
 
 def _ripple_add(x: list[int], y: list[int], carry: int) -> tuple[list[int], int]:
@@ -212,12 +212,12 @@ def _trace_planes(kind: str, n: int, a: list[int], b: list[int], ones: int):
         w = [a[n - i]] + w[:n]
         # w - b = w + ~b + 1 where sub is set, w + b elsewhere; a
         # subtraction's carry-out is set exactly where w >= b
-        w, cout = _ripple_add(w, [bj ^ sub for bj in b], sub)
+        diff, cout = _ripple_add(w, [bj ^ sub for bj in b], sub)
         if kind == RESTORING:
-            # add b back where the subtraction went negative
-            w, _ = _ripple_add(w, [bj & ~cout for bj in b], 0)
+            # keep the old window where the subtraction went negative
+            w = [wj ^ (cout & (dj ^ wj)) for wj, dj in zip(w, diff)]
         else:
-            sub = cout
+            w, sub = diff, cout
         qbits.append(cout)
         signs.append(w[n])
     if kind == NON_RESTORING:

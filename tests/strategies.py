@@ -28,5 +28,8 @@ def circuits(draw, min_width: int, max_width: int, max_gates: int, tiled: bool) 
     for _ in range(draw(st.integers(0, max_gates))):
         arity = draw(st.integers(1, min(3, width)))
         wires = draw(st.lists(st.integers(0, width - 1), min_size=arity, max_size=arity, unique=True))
-        c.append(Gate(tuple(wires)))
+        if draw(st.booleans()):  # through a writer, as builders store gates
+            (c.x, c.cx, c.ccx)[arity - 1](*wires)
+        else:
+            c.append(Gate(tuple(wires)))
     return c

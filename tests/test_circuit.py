@@ -55,21 +55,70 @@ def test_gate_is_slotted_and_frozen():
 HELPERS = {1: x, 2: cx, 3: ccx}
 
 
-@pytest.mark.parametrize(
-    "qubits",
-    [
-        (True,), (1.0,), ("0",), (-1,), (None,),
-        (False, 1), (0, 1.5), ("0", 1), (-2, 0), (0, -1), (1, 1), (True, 1),
-        (True, 1, 2), (0, 1, 2.0), (0, "1", 2), (-1, 0, 1), (0, 1, -3),
-        (0, 0, 1), (0, 1, 0), (1, 0, 0), (-1, -1, 0),
-    ],
-)
+REFUSED = [
+    (True,), (1.0,), ("0",), (-1,), (None,),
+    (False, 1), (0, 1.5), ("0", 1), (-2, 0), (0, -1), (1, 1), (True, 1),
+    (True, 1, 2), (0, 1, 2.0), (0, "1", 2), (-1, 0, 1), (0, 1, -3),
+    (0, 0, 1), (0, 1, 0), (1, 0, 0), (-1, -1, 0),
+]
+
+
+@pytest.mark.parametrize("qubits", REFUSED)
 def test_helpers_refuse_what_gate_refuses(qubits):
-    # each helper checks its operands inline; a refusal must read as Gate's
     with pytest.raises(CircuitError) as by_gate:
         Gate(qubits)
     with pytest.raises(CircuitError, match=f"^{re.escape(str(by_gate.value))}$"):
         HELPERS[len(qubits)](*qubits)
+
+
+def _writer(c: Circuit, arity: int):
+    return (c.x, c.cx, c.ccx)[arity - 1]
+
+
+@pytest.mark.parametrize("qubits", REFUSED)
+def test_writers_refuse_what_gate_refuses(qubits):
+    # each writer checks its operands inline; a refusal must read as Gate's
+    c = Circuit(4, {}, [cx(0, 1)])
+    with pytest.raises(CircuitError) as by_gate:
+        Gate(qubits)
+    with pytest.raises(CircuitError, match=f"^{re.escape(str(by_gate.value))}$"):
+        _writer(c, len(qubits))(*qubits)
+    assert c.ops == [-1, 0, 1]
+
+
+@pytest.mark.parametrize("qubits", [(3,), (3, 0), (0, 4), (5, 1, 2), (0, 3, 1), (0, 1, 5)])
+def test_writers_refuse_out_of_range_as_append_does(qubits):
+    c = Circuit(3)
+    with pytest.raises(CircuitError) as by_append:
+        c.append(Gate(qubits))
+    assert str(by_append.value) == f"gate {Gate(qubits).name}{qubits} out of range for 3-qubit circuit"
+    with pytest.raises(CircuitError, match=f"^{re.escape(str(by_append.value))}$"):
+        _writer(c, len(qubits))(*qubits)
+    assert c.ops == []
+
+
+def _outcome(write, c: Circuit):
+    """The store after ``write(c)``, or the refusal it raised."""
+    try:
+        write(c)
+    except CircuitError as exc:
+        return str(exc)
+    return c.ops
+
+
+@given(st.integers(3, 6), st.data())
+def test_writers_store_what_append_stores(width, data):
+    # a writer and append of the helper's gate leave the same store, or the
+    # same refusal when one operand is negative, out of range, a bool, a
+    # float or a repeat
+    k = data.draw(st.integers(1, 3))
+    qubits = data.draw(st.lists(st.integers(0, width - 1), min_size=k, max_size=k, unique=True))
+    if data.draw(st.booleans()):
+        bad = st.sampled_from([-1, width, True, 1.0, qubits[0]])
+        qubits[data.draw(st.integers(0, k - 1))] = data.draw(bad)
+    by_append = _outcome(lambda c: c.append(HELPERS[k](*qubits)), Circuit(width))
+    by_writer = _outcome(lambda c: _writer(c, k)(*qubits), Circuit(width))
+    assert by_writer == by_append
 
 
 @given(st.lists(st.integers(min_value=0, max_value=2**70), min_size=1, max_size=3, unique=True))
@@ -81,17 +130,20 @@ def test_helpers_make_what_gate_makes(qubits):
 
 
 def test_valid_builds_skip_the_gate_constructor(monkeypatch):
-    # a count in place of a timing gate: valid gates are made by the helpers'
-    # inline checks and by extend's copies, never by Gate's own __post_init__
-    calls = []
-    checked = Gate.__post_init__
+    # a count in place of a timing gate: builds store their gates through the
+    # writers and extend's remap, so they make no Gate, which would run
+    # __post_init__, and call no append
+    calls, appends = [], []
+    checked, append = Gate.__post_init__, Circuit.append
     monkeypatch.setattr(Gate, "__post_init__", lambda g: calls.append(g) or checked(g))
+    monkeypatch.setattr(Circuit, "append", lambda c, g: appends.append(g) or append(c, g))
     for n in range(1, 9):
         for kind in KINDS:
             for adder in sorted(ADDERS):
                 build_divider(make_params(n, adder, kind))
-    assert calls == []
-    assert Gate((0, 1)) in calls  # the counter sees a direct construction
+    assert (calls, appends) == ([], [])
+    Circuit(2).append(cx(0, 1))  # the counters see a helper's gate and its append
+    assert calls == appends == [Gate((0, 1))]
 
 
 @pytest.mark.parametrize("kind", KINDS)
