@@ -1,23 +1,18 @@
 """Reversible-circuit intermediate representation over {NOT, CNOT, TOFFOLI}.
 
 Circuits are ordered gate lists over integer-indexed qubits, with disjoint
-registers: a dict from each register's name to its wires.  A gate is its
-operands; its name follows from their count.  A circuit stores its gates in
-one flat list of ints, three wires per gate, so it makes no object per gate;
-``Circuit.gates`` is a live view of that store.  Builders grow a circuit
-through its writers ``x``, ``cx`` and ``ccx``, which store a gate without
-making one, and hand it out; composition copies a fragment's store with an
-index remap.
-Toffoli depth is computed by dependency scheduling in which NOT/CNOT gates
-impose ordering but contribute no depth of their own.
+registers: a dict from each register's name to its wires.  A circuit keeps
+its gates in one flat list of ints, three wires per gate, and makes no
+object per gate.  Builders grow a circuit through its checked writers
+``x``, ``cx`` and ``ccx`` and hand it out; composition copies a fragment's
+store with an index remap.  Toffoli depth is computed by dependency
+scheduling in which NOT/CNOT gates impose ordering but contribute no depth
+of their own.
 """
 from __future__ import annotations
 
-from collections.abc import MutableSequence
 from dataclasses import asdict, dataclass, field
-from itertools import chain, count, starmap
-from math import inf
-from operator import index, itemgetter
+from operator import itemgetter
 
 GATE_NAMES = ("x", "cx", "ccx")  # the name of a gate on k operands is GATE_NAMES[k - 1]
 GATE_ARITY = {name: k for k, name in enumerate(GATE_NAMES, 1)}
@@ -27,85 +22,45 @@ class CircuitError(ValueError):
     """Raised for structurally invalid gates, registers or mappings."""
 
 
+def _refuse(qubits: tuple, n: int) -> None:
+    """Raise the error for the first fault of a gate on ``qubits`` in an ``n``-wire
+    circuit: a non-integer, repeated, negative or out-of-range operand, in that order."""
+    name = GATE_NAMES[len(qubits) - 1]
+    # a float would fail only where a list is indexed by it; a bool would act as wire 0 or 1
+    if {*map(type, qubits)} != {int}:
+        raise CircuitError(f"non-integer operand in {name}{qubits}")
+    if len(set(qubits)) != len(qubits):
+        raise CircuitError(f"duplicate operands in {name}{qubits}")
+    if min(qubits) < 0:
+        raise CircuitError(f"negative qubit index in {name}{qubits}")
+    if max(qubits) >= n:
+        raise CircuitError(f"gate {name}{qubits} out of range for {n}-qubit circuit")
+
+
+def _operands(op: tuple) -> tuple:
+    """The operands of the stored triple ``op``, less the int -1 of each absent control."""
+    k = 0
+    while k < 2 and type(op[k]) is int and op[k] == -1:
+        k += 1
+    return op[k:]
+
+
 @dataclass(frozen=True)
 class Gate:
-    """One gate on 1, 2 or 3 distinct operands, controls first and target
-    last: ``x`` (NOT), ``cx`` (CNOT) or ``ccx`` (Toffoli)."""
+    """A stored gate's operands, controls first and target last, as a view
+    reads them: ``x`` (NOT), ``cx`` (CNOT) or ``ccx`` (Toffoli) by their count."""
 
-    # By hand, not by slots=True, whose new class the frozen __setattr__ misses:
-    # setting ``name`` would raise TypeError.  __reduce__ keeps it picklable.
-    __slots__ = ("qubits",)
     qubits: tuple[int, ...]
-
-    def __post_init__(self):
-        if type(self.qubits) is not tuple:  # a list would leave the gate unhashable
-            raise CircuitError(f"gate operands must be a tuple, not {type(self.qubits).__name__}")
-        if not 1 <= len(self.qubits) <= 3:
-            raise CircuitError(f"a gate takes 1 to 3 operands, got {len(self.qubits)}")
-        # a float would pass the checks below and fail only where simulation,
-        # measure or export indexes a list by it; a bool would act as wire 0 or 1
-        if {*map(type, self.qubits)} != {int}:
-            raise CircuitError(f"non-integer operand in {self.name}{self.qubits}")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise CircuitError(f"duplicate operands in {self.name}{self.qubits}")
-        if min(self.qubits) < 0:
-            raise CircuitError(f"negative qubit index in {self.name}{self.qubits}")
 
     @property
     def name(self) -> str:
         return GATE_NAMES[len(self.qubits) - 1]
 
-    def __reduce__(self):
-        return Gate, (self.qubits,)
 
-
-def x(target: int) -> Gate:
-    return Gate((target,))
-
-
-def cx(control: int, target: int) -> Gate:
-    return Gate((control, target))
-
-
-def ccx(control1: int, control2: int, target: int) -> Gate:
-    return Gate((control1, control2, target))
-
-
-# what the store puts before a gate's k operands: -1 for each absent control
-_PAD = (None, (-1, -1), (-1,), ())
-
-
-def _checked(gate: Gate, qubit_count: int) -> tuple[int, int, int]:
-    """The operands of ``gate``, a Gate on wires below ``qubit_count``, as
-    the store holds them."""
-    if type(gate) is not Gate:
-        raise CircuitError("gates must be a list of Gate")
-    if max(gate.qubits) >= qubit_count:
-        raise CircuitError(
-            f"gate {gate.name}{gate.qubits} out of range for {qubit_count}-qubit circuit"
-        )
-    return _PAD[len(gate.qubits)] + gate.qubits
-
-
-# A stored triple is a valid gate, so the view fills a bare Gate and skips
-# its checks (``_fill`` gives None, so ``or g``).
-_new, _fill = object.__new__, Gate.qubits.__set__
-
-
-def _gate(a: int, b: int, t: int) -> Gate:
-    """The gate that the store holds as ``a, b, t``."""
-    return _fill(g := _new(Gate), (a, b, t) if a >= 0 else (b, t) if b >= 0 else (t,)) or g
-
-
-class GateView(MutableSequence):
-    """A live view of an owner's store, its ``ops``, as a list of ``Gate``.
-
-    A read makes a ``Gate`` per gate read; ``len`` makes none.  A write takes
-    ``Gate`` values, checked as :meth:`Circuit.append` checks them, and edits
-    the store in place; a slice is edited as a list of stored triples, in one
-    pass over the store.  A :class:`Template`'s store is a tuple, so its view
-    is read-only.  A view equals a view or a list of the same gates.
-    """
+class GateView:
+    """A live view of an owner's ``ops``: ``len`` makes no :class:`Gate`, iteration
+    yields one per stored triple, and ``del view[i]`` removes the i-th triple.
+    A :class:`Template`'s store is a tuple, so its view refuses deletion."""
 
     __slots__ = ("_owner",)
 
@@ -117,49 +72,11 @@ class GateView(MutableSequence):
 
     def __iter__(self):
         it = iter(self._owner.ops)
-        return starmap(_gate, zip(it, it, it))
+        return (Gate(_operands(op)) for op in zip(it, it, it))
 
-    def _rows(self) -> list[tuple[int, int, int]]:
-        it = iter(self._owner.ops)
-        return list(zip(it, it, it))
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(starmap(_gate, self._rows()[i]))
-        k = 3 * range(len(self))[i]
-        return _gate(*self._owner.ops[k : k + 3])
-
-    def __setitem__(self, i, value):
-        if isinstance(i, slice):
-            rows = self._rows()
-            rows[i] = [_checked(g, self._owner.qubit_count) for g in value]
-            self._owner.ops[:] = chain.from_iterable(rows)
-        else:
-            k = 3 * range(len(self))[i]
-            self._owner.ops[k : k + 3] = _checked(value, self._owner.qubit_count)
-
-    def __delitem__(self, i):
-        if isinstance(i, slice):
-            rows = self._rows()
-            del rows[i]
-            self._owner.ops[:] = chain.from_iterable(rows)
-        else:
-            k = 3 * range(len(self))[i]
-            del self._owner.ops[k : k + 3]
-
-    def insert(self, i, value):
-        # the store's empty slice at 3i is where list.insert(i, ...) puts an
-        # item, for any i: a negative i counts from the end, and both ends clip
-        k = 3 * index(i)
-        self._owner.ops[k:k] = _checked(value, self._owner.qubit_count)
-
-    def __eq__(self, other):
-        if isinstance(other, GateView):
-            return list(self._owner.ops) == list(other._owner.ops)
-        return list(self) == other if isinstance(other, list) else NotImplemented
-
-    def __repr__(self) -> str:
-        return repr(list(self))
+    def __delitem__(self, i: int) -> None:
+        k = 3 * range(len(self))[i]  # an IndexError past either end, as a list raises
+        del self._owner.ops[k : k + 3]
 
 
 @dataclass
@@ -168,15 +85,16 @@ class Circuit:
 
     ``registers`` maps each register's name to its wires, index 0 the least
     significant bit, in the order the registers were declared.  ``ops`` is
-    the store: three wires per gate, controls first and target last, and
-    -1 for each control an ``x`` or ``cx`` lacks.  ``gates`` is a live
-    :class:`GateView` of it; the constructor, like assigning ``gates``,
-    takes a list of ``Gate`` or another circuit's view, and copies it.
+    the store: three wires per gate, controls first and target last, and -1
+    for each control an ``x`` or ``cx`` lacks.  The constructor copies it and
+    refuses, in a writer's words, any triple that no writer call stores.
     """
 
     qubit_count: int = 0
     registers: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    gates: GateView = field(default_factory=list)  # through the property set below
+    ops: list[int] = field(default_factory=list)
+
+    gates = property(GateView, doc="A live view of the gates: len, iteration and del.")
 
     def __post_init__(self):
         n = self.qubit_count
@@ -200,12 +118,14 @@ class Circuit:
                 if q in used:
                     raise CircuitError(f"registers overlap on wire {q}")
                 used.add(q)
-
-    def _set_gates(self, gates) -> None:
-        if type(gates) is not list and not isinstance(gates, GateView):
-            raise CircuitError("gates must be a list of Gate")
-        n = self.qubit_count  # the constructor sets it first and checks it after
-        self.ops = [q for g in gates for q in _checked(g, n if type(n) is int else inf)]
+        if type(self.ops) is not list:
+            raise CircuitError(f"ops must be a list, not {type(self.ops).__name__}")
+        if len(self.ops) % 3:
+            raise CircuitError(f"ops length {len(self.ops)} is not a multiple of 3")
+        self.ops = self.ops[:]
+        it = iter(self.ops)
+        for op in zip(it, it, it):
+            _refuse(_operands(op), n)
 
     def new_register(self, name: str, size: int) -> tuple[int, ...]:
         """Allocate ``size`` fresh wires as a contiguous named register and
@@ -222,39 +142,33 @@ class Circuit:
         self.qubit_count += size
         return wires
 
-    def append(self, gate: Gate) -> "Circuit":
-        self.ops += _checked(gate, self.qubit_count)
-        return self
-
-    # The writers store one gate each.  Their inline checks accept what Gate
-    # and _checked accept; anything else goes through those two, which word
-    # the refusal.
+    # Each writer stores one gate; _refuse words the refusal of what its inline check fails.
     def x(self, t: int) -> None:
-        """Append a NOT on wire ``t``."""
+        """Store a NOT on wire ``t`` last."""
         if type(t) is int and 0 <= t < self.qubit_count:
             self.ops.extend((-1, -1, t))
         else:
-            self.ops += _checked(Gate((t,)), self.qubit_count)
+            _refuse((t,), self.qubit_count)
 
     def cx(self, c: int, t: int) -> None:
-        """Append a CNOT from wire ``c`` onto wire ``t``."""
+        """Store a CNOT from wire ``c`` onto wire ``t`` last."""
         n = self.qubit_count
         if type(c) is type(t) is int and c != t and 0 <= c < n and 0 <= t < n:
             self.ops.extend((-1, c, t))
         else:
-            self.ops += _checked(Gate((c, t)), n)
+            _refuse((c, t), n)
 
     def ccx(self, c1: int, c2: int, t: int) -> None:
-        """Append a Toffoli from wires ``c1`` and ``c2`` onto wire ``t``."""
+        """Store a Toffoli from wires ``c1`` and ``c2`` onto wire ``t`` last."""
         n = self.qubit_count
         if (type(c1) is type(c2) is type(t) is int and c1 != c2 != t != c1
                 and 0 <= c1 < n and 0 <= c2 < n and 0 <= t < n):
             self.ops.extend((c1, c2, t))
         else:
-            self.ops += _checked(Gate((c1, c2, t)), n)
+            _refuse((c1, c2, t), n)
 
     def extend(self, t: Template, mapping: list[int] | tuple[int, ...]) -> Circuit:
-        """Append every gate of the fragment that ``t`` templates, remapped
+        """Add every gate of the fragment that ``t`` templates, remapped
         through ``mapping``.
 
         ``mapping[k]`` is the host wire for fragment wire ``k``, or for ``wires[k]``
@@ -273,13 +187,10 @@ class Circuit:
         if mapping and (min(mapping) < 0 or max(mapping) >= self.qubit_count):
             raise CircuitError("mapping entry out of range for host circuit")
         # An injective, in-range map sends a valid gate to a valid gate, so
-        # the remapped store is appended as it comes, in one C call; the
-        # absent controls sit at place -1 and pick the -1 appended here.
+        # the remapped store is added as it comes, in one C call; the
+        # absent controls sit at place -1 and pick the -1 added here.
         self.ops += t.getter((*mapping, -1))
         return self
-
-
-Circuit.gates = property(GateView, Circuit._set_gates, doc="A live view of the gates.")
 
 
 @dataclass(frozen=True)
@@ -290,7 +201,7 @@ class Template:
     place ``k`` is fragment wire ``k``, or ``wires[k]`` if the template came
     from ``Template.of(c, wires)``, and an absent control keeps place -1.
     ``getter`` picks every entry of ``ops`` out of a mapping, so a mapping
-    with -1 appended gives the placed store.  ``gates`` views ``ops``.
+    with -1 added at its end gives the placed store.  ``gates`` views ``ops``.
     """
 
     qubit_count: int
@@ -301,14 +212,17 @@ class Template:
 
     @classmethod
     def of(cls, circuit: Circuit, wires: tuple[int, ...] = ()) -> "Template":
-        if wires in ((), tuple(range(circuit.qubit_count))):
+        n, wires = circuit.qubit_count, tuple(wires)
+        if wires in ((), tuple(range(n))):
             ops = tuple(circuit.ops)  # each wire is its own place
+        elif len(wires) != n or {*wires} != {*range(n)}:
+            # a repeat would give two wires one place, and a missing wire none
+            raise CircuitError(f"template wires {wires} must name each of its {n} wires once")
         else:
-            at = dict(zip(wires, count()))  # wire -> its place
-            at[-1] = -1
+            at = dict(zip((*wires, -1), (*range(n), -1)))  # wire -> its place; -1 stays
             ops = tuple(map(at.__getitem__, circuit.ops))
         # an empty store takes an empty slice, which yields an empty tuple
-        return cls(circuit.qubit_count, ops, itemgetter(*ops) if ops else itemgetter(slice(0)))
+        return cls(n, ops, itemgetter(*ops) if ops else itemgetter(slice(0)))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ draw their circuits from it, each with its own width and gate bounds.
 """
 from hypothesis import strategies as st
 
-from revdiv.circuit import Circuit, Gate
+from revdiv.circuit import Circuit
 
 
 @st.composite
@@ -28,8 +28,6 @@ def circuits(draw, min_width: int, max_width: int, max_gates: int, tiled: bool) 
     for _ in range(draw(st.integers(0, max_gates))):
         arity = draw(st.integers(1, min(3, width)))
         wires = draw(st.lists(st.integers(0, width - 1), min_size=arity, max_size=arity, unique=True))
-        if draw(st.booleans()):  # through a writer, as builders store gates
-            (c.x, c.cx, c.ccx)[arity - 1](*wires)
-        else:
-            c.append(Gate(tuple(wires)))
+        # through a writer, as builders store gates
+        (c.x, c.cx, c.ccx)[arity - 1](*wires)
     return c

@@ -8,7 +8,7 @@ from revdiv.adders import (
     wrap_add_sub,
     wrap_subtractor,
 )
-from revdiv.circuit import Circuit, Gate, ccx, cx, measure, x
+from revdiv.circuit import Circuit, measure
 from revdiv.costs import (
     ROW_IDS,
     STRICT_FLOOR,
@@ -144,23 +144,25 @@ def test_criterion_7_simulator_soundness():
         c = _random_fragment(rng)
         state = [rng.randrange(2) for _ in range(c.qubit_count)]
         mid = apply(c, state)
-        inverse = Circuit(c.qubit_count, dict(c.registers), c.gates[::-1])
+        it = iter(c.ops)
+        backwards = [q for op in [*zip(it, it, it)][::-1] for q in op]
+        inverse = Circuit(c.qubit_count, dict(c.registers), backwards)
         ok = ok and apply(inverse, mid) == state
 
     d = Circuit()
     d.new_register("w", 6)
-    d.append(ccx(0, 1, 2))
-    d.append(ccx(3, 4, 5))
+    d.ccx(0, 1, 2)
+    d.ccx(3, 4, 5)
     ok = ok and measure(d).toffoli_depth == 1
     d2 = Circuit()
     d2.new_register("w", 5)
-    d2.append(ccx(0, 1, 2))
-    d2.append(ccx(2, 3, 4))
+    d2.ccx(0, 1, 2)
+    d2.ccx(2, 3, 4)
     ok = ok and measure(d2).toffoli_depth == 2
     d3 = Circuit()
     d3.new_register("w", 2)
-    d3.append(x(0))
-    d3.append(cx(0, 1))
+    d3.x(0)
+    d3.cx(0, 1)
     ok = ok and measure(d3).toffoli_depth == 0
     assert _report(7, "reversal property and depth truths", ok)
 
@@ -176,8 +178,8 @@ def _random_circuit(rng: random.Random) -> Circuit:
         left -= size
     for _ in range(rng.randint(0, 25)):
         arity = rng.randint(1, min(3, width))
-        wires = tuple(rng.sample(range(width), arity))
-        c.append(Gate(wires))
+        wires = rng.sample(range(width), arity)
+        (c.x, c.cx, c.ccx)[arity - 1](*wires)
     return c
 
 

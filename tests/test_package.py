@@ -37,13 +37,15 @@ def test_root_loads_no_module():
     assert loaded == []
 
 
-def test_costs_loads_no_other_module():
-    # the closed forms stand without the synthesis stack
+@pytest.mark.parametrize("module", ["costs", "circuit"])
+def test_costs_loads_no_other_module(module):
+    # the closed forms stand without the synthesis stack, and the IR under
+    # every builder is a leaf
     out = _run(
-        "import json, sys, revdiv.costs; "
+        f"import json, sys, revdiv.{module}; "
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('revdiv.'))))"
     )
-    assert json.loads(out) == ["revdiv.costs"]
+    assert json.loads(out) == [f"revdiv.{module}"]
 
 
 @pytest.mark.parametrize("module", MODULES)
