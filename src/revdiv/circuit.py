@@ -12,7 +12,7 @@ of their own.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from operator import itemgetter
+from operator import add, eq, itemgetter
 
 GATE_NAMES = ("x", "cx", "ccx")  # the name of a gate on k operands is GATE_NAMES[k - 1]
 GATE_ARITY = {name: k for k, name in enumerate(GATE_NAMES, 1)}
@@ -43,6 +43,23 @@ def _operands(op: tuple) -> tuple:
     while k < 2 and type(op[k]) is int and op[k] == -1:
         k += 1
     return op[k:]
+
+
+def _valid_store(ops: list, n: int) -> bool:
+    """Whether every triple of ``ops`` is one that a writer call stores on ``n``
+    wires, tested over whole slices of the store in C; a store this refuses
+    is read triple by triple to word its first fault."""
+    a, b, t = ops[0::3], ops[1::3], ops[2::3]
+    # With every entry an int in -1..n-1 and no target a control, a triple
+    # is valid unless its first control alone is present or its controls
+    # are one wire: the -1s of b must be exactly the triples whose a and b
+    # are both -1, and so must every a == b.
+    return not ops or (
+        {*map(type, ops)} == {int}
+        and min(ops) >= -1 and max(ops) < n and min(t) >= 0
+        and not any(map(eq, a, t)) and not any(map(eq, b, t))
+        and b.count(-1) == list(map(add, a, b)).count(-2) == sum(map(eq, a, b))
+    )
 
 
 @dataclass(frozen=True)
@@ -123,9 +140,10 @@ class Circuit:
         if len(self.ops) % 3:
             raise CircuitError(f"ops length {len(self.ops)} is not a multiple of 3")
         self.ops = self.ops[:]
-        it = iter(self.ops)
-        for op in zip(it, it, it):
-            _refuse(_operands(op), n)
+        if not _valid_store(self.ops, n):
+            it = iter(self.ops)
+            for op in zip(it, it, it):
+                _refuse(_operands(op), n)
 
     def new_register(self, name: str, size: int) -> tuple[int, ...]:
         """Allocate ``size`` fresh wires as a contiguous named register and
@@ -246,20 +264,18 @@ def measure(circuit: Circuit) -> ResourceReport:
     Clifford-only circuit has depth 0.  One pass reads each stored triple
     once and dispatches on its first present control: a Toffoli takes the
     highest of its three levels by two comparisons, and a CNOT copies the
-    higher of its two levels onto the other wire.
+    higher of its two levels onto the other wire.  No update lowers a level,
+    so the depth is the highest level left, and the count is the number of
+    present first controls.
     """
     level = [0] * circuit.qubit_count
-    depth = 0
-    count = 0
     it = iter(circuit.ops)
     for a, b, t in zip(it, it, it):
         if a >= 0:
             u, v, w = level[a], level[b], level[t]
-            v = ((u if u > w else w) if u > v else (v if v > w else w)) + 1
-            level[a] = level[b] = level[t] = v
-            count += 1
-            if v > depth:
-                depth = v
+            level[a] = level[b] = level[t] = (
+                (u if u > w else w) if u > v else (v if v > w else w)
+            ) + 1
         elif b >= 0:
             # both wires end on the higher level; only the lower one moves
             v, w = level[b], level[t]
@@ -268,9 +284,10 @@ def measure(circuit: Circuit) -> ResourceReport:
             elif w > v:
                 level[b] = w
         # x touches one wire, so it moves no level
+    controls = circuit.ops[0::3]
     return ResourceReport(
-        toffoli_depth=depth,
-        toffoli_count=count,
+        toffoli_depth=max(level, default=0),
+        toffoli_count=len(controls) - controls.count(-1),
         qubit_count=circuit.qubit_count,
         gate_total=len(circuit.ops) // 3,
     )

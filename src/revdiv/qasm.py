@@ -54,9 +54,11 @@ class QasmParseError(ValueError):
 def export_text(circuit: Circuit) -> str:
     """Render a circuit as OpenQASM-subset text (UTF-8, LF line endings).
 
-    Each stored triple is spelled by its first present control.  The lines
-    are joined ``_LINE_BATCH`` at a time, and the pieces once more, so
-    the line strings of one piece at most exist at once.
+    Each stored triple is spelled by its first present control, from
+    per-wire tables of the pieces a wire takes in a line (``"ccx R, "``,
+    ``"R, "``, ``"cx R, "``, ``"R;"`` and ``"x R;"``).  The lines are
+    joined ``_LINE_BATCH`` at a time, and the pieces once more, so the
+    line strings of one piece at most exist at once.
     """
     regs = circuit.registers.items()
     covered: list[int] = []
@@ -71,15 +73,21 @@ def export_text(circuit: Circuit) -> str:
             "one or more registers must tile all qubits exactly once, listed in wire order"
         )
 
-    # the registers tile the wires in order, so wire q's name is refs[q]
+    # the registers tile the wires in order, so wire q's name is refs[q], and
+    # each line is spelled from the pieces that its wires take in it
     refs = [f"{name}[{i}]" for name, wires in regs for i in range(len(wires))]
+    ccx0 = [f"ccx {r}, " for r in refs]
+    mid = [f"{r}, " for r in refs]
+    cx0 = [f"cx {r}, " for r in refs]
+    end = [f"{r};" for r in refs]
+    xs = [f"x {r};" for r in refs]
     parts = [HEADER, *(f"qubit[{len(wires)}] {name};" for name, wires in regs)]
     it = iter(circuit.ops)
     rows = zip(it, it, it)
     while lines := [
-        f"ccx {refs[a]}, {refs[b]}, {refs[t]};" if a >= 0
-        else f"cx {refs[b]}, {refs[t]};" if b >= 0
-        else f"x {refs[t]};"
+        f"{ccx0[a]}{mid[b]}{end[t]}" if a >= 0
+        else f"{cx0[b]}{end[t]}" if b >= 0
+        else xs[t]
         for a, b, t in islice(rows, _LINE_BATCH)
     ]:
         parts.append("\n".join(lines))

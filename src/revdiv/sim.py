@@ -40,13 +40,16 @@ def apply_planes(circuit: Circuit, planes: list[int], ones: int) -> list[int]:
 
 def apply(circuit: Circuit, state: list[int] | tuple[int, ...]) -> list[int]:
     """Run the circuit on a computational-basis state, one bit per qubit."""
-    if any(b not in (0, 1) for b in state):
-        raise SimulationError("state bits must be 0 or 1")
+    # 1.0 and True equal 1, but a float would fail in the kernel and a bool is no bit
+    if any(type(b) is not int or b not in (0, 1) for b in state):
+        raise SimulationError("state bits must be the ints 0 or 1")
     return apply_planes(circuit, list(state), 1)
 
 
 def encode_register(positions, value: int, state: list[int]) -> list[int]:
     """Write ``value`` into ``state`` at the given qubit positions, LSB first."""
+    if type(value) is not int:
+        raise SimulationError(f"value {value!r} is not an int")
     if not 0 <= value < (1 << len(positions)):
         raise SimulationError(
             f"value {value} out of range for {len(positions)}-bit register"

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import revdiv.circuit as circuit_module
 from revdiv.adders import ADDERS, build_vbe, wrap_add_sub
-from revdiv.circuit import Circuit, CircuitError, Gate, Template, measure
+from revdiv.circuit import Circuit, CircuitError, Gate, ResourceReport, Template, measure
 from revdiv.divider import KINDS, build_divider, make_params
 
 from strategies import circuits
@@ -162,12 +163,20 @@ def test_writers_store_what_append_stores(width, data):
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("adder", sorted(ADDERS))
-def test_extend_copies_equal_validated_gates(kind, adder):
-    # extend skips validation; the checked constructor must take every copy
+def test_extend_copies_equal_validated_gates(kind, adder, monkeypatch):
+    # extend skips validation; the checked constructor must take every copy,
+    # and by its test of the whole store, which reads no triple to _refuse
+    calls = []
+    refuse = circuit_module._refuse
+    monkeypatch.setattr(circuit_module, "_refuse", lambda *a: calls.append(a) or refuse(*a))
     for n in range(1, 9):
         c, _ = build_divider(make_params(n, adder, kind))
         assert {*map(type, c.ops)} == {int}
         assert Circuit(c.qubit_count, c.registers, c.ops) == c
+    assert calls == []
+    with pytest.raises(CircuitError):
+        Circuit(3, {}, [-1, 0, 0])
+    assert calls == [((0, 0), 3)]  # the counter sees a refusal
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -488,6 +497,21 @@ def test_depth_clifford_only_zero():
     assert rep.toffoli_depth == 0
     assert rep.toffoli_count == 0
     assert rep.gate_total == 3
+
+
+def test_depth_of_no_wires_no_gates_and_copied_levels():
+    assert measure(Circuit()) == ResourceReport(0, 0, 0, 0)
+    assert measure(Circuit(3)) == ResourceReport(0, 0, 3, 0)
+    # CNOTs copy the deepest Toffoli's level onto other wires, which sets no
+    # deeper level
+    c = Circuit()
+    c.new_register("w", 6)
+    c.ccx(0, 1, 2)
+    c.ccx(2, 3, 4)
+    c.cx(4, 5)
+    c.cx(5, 0)
+    c.x(0)
+    assert measure(c) == ResourceReport(2, 2, 6, 5)
 
 
 def test_depth_clifford_mediated_ordering():

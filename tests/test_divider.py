@@ -198,6 +198,7 @@ def test_build_is_deterministic():
 
 # First 16 hex digits of the SHA-256 of each build's exported QASM.  Any
 # change to a builder's gates, their order or the register layout moves one.
+# Those at n = 4, 7, 32, 64 and 128 are perfbench's SEED_BUILDS digests.
 QASM_SHA256 = {
     (NON_RESTORING, "cuccaro", 1): "f85bba4c661f17e9",
     (NON_RESTORING, "cuccaro", 2): "aca6a2b2aa87199a",
@@ -208,6 +209,8 @@ QASM_SHA256 = {
     (NON_RESTORING, "cuccaro", 7): "d5948879bd5f1305",
     (NON_RESTORING, "cuccaro", 8): "238e5c93f57cf49d",
     (NON_RESTORING, "cuccaro", 32): "9dffb97a81175829",
+    (NON_RESTORING, "cuccaro", 64): "44087c338c3db619",
+    (NON_RESTORING, "cuccaro", 128): "2a899ed7432c36d2",
     (NON_RESTORING, "vbe", 1): "35ae10e9fb8ea84f",
     (NON_RESTORING, "vbe", 2): "75fb106ce54b0a17",
     (NON_RESTORING, "vbe", 3): "20b76c0e14bdf6e8",
@@ -217,6 +220,8 @@ QASM_SHA256 = {
     (NON_RESTORING, "vbe", 7): "84c53109e53af410",
     (NON_RESTORING, "vbe", 8): "fb41eb0e0d98b851",
     (NON_RESTORING, "vbe", 32): "e493a7e579df4ae7",
+    (NON_RESTORING, "vbe", 64): "e952fdbd97d0971e",
+    (NON_RESTORING, "vbe", 128): "3b9b2a9469e4203f",
     (RESTORING, "cuccaro", 1): "bfca12c9dc461f79",
     (RESTORING, "cuccaro", 2): "eeb0d5c46223bbf9",
     (RESTORING, "cuccaro", 3): "77ebeb6257f7dbaf",
@@ -226,6 +231,8 @@ QASM_SHA256 = {
     (RESTORING, "cuccaro", 7): "1d4864fb6aa9f132",
     (RESTORING, "cuccaro", 8): "cc020276834a4d56",
     (RESTORING, "cuccaro", 32): "24e80890b1d1e235",
+    (RESTORING, "cuccaro", 64): "9ebe0fb4db0665f7",
+    (RESTORING, "cuccaro", 128): "7137773c15588be2",
     (RESTORING, "vbe", 1): "b3198f618686377f",
     (RESTORING, "vbe", 2): "6d9e3bffae1fe671",
     (RESTORING, "vbe", 3): "7300ce9446ec623a",
@@ -235,6 +242,8 @@ QASM_SHA256 = {
     (RESTORING, "vbe", 7): "6882abd2fa3415f4",
     (RESTORING, "vbe", 8): "0951ddb1bd2b8cf5",
     (RESTORING, "vbe", 32): "d73bf2998640b968",
+    (RESTORING, "vbe", 64): "2abcadbdfd7f4016",
+    (RESTORING, "vbe", 128): "a4eda0d4a0230472",
 }
 
 
@@ -244,7 +253,7 @@ def test_export_is_pinned(kind, adder, n):
     text = export_text(circuit)
     digest = hashlib.sha256(text.encode("ascii")).hexdigest()
     assert digest[:16] == QASM_SHA256[kind, adder, n]
-    # the n=32 texts span several of import's pieces
+    # the texts from n=32 up span several of import's pieces
     assert import_text(text) == circuit
 
 

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revdiv.circuit import Circuit
+from revdiv.divider import NON_RESTORING, build_divider, make_params, run_division
 from revdiv.sim import (
     SimulationError,
     apply,
@@ -50,6 +51,10 @@ def test_state_validation():
         apply(c, [0, 0])
     with pytest.raises(SimulationError):
         apply(c, [2])
+    # each equals a bit, but a float would reach the kernel and a bool is no bit
+    for bit in (1.0, 0.0, True, False):
+        with pytest.raises(SimulationError, match=r"^state bits must be the ints 0 or 1$"):
+            apply(c, [bit])
 
 
 def _lanes_to_planes(states, width):
@@ -110,3 +115,11 @@ def test_register_encode_decode_lsb_first():
     assert decode_register(state, [3, 1, 0]) == 0b101
     with pytest.raises(SimulationError):
         encode_register([0, 1], 4, state)
+    for value in (1.0, True, 5.0):
+        with pytest.raises(SimulationError, match=r"^value .* is not an int$"):
+            encode_register([0, 1, 2], value, state)
+    assert state == [1, 0, 0, 1, 0]
+    # a division's operands reach the register encoder as they are given
+    c, layout = build_divider(make_params(3, "cuccaro", NON_RESTORING))
+    with pytest.raises(SimulationError, match=r"^value 5\.0 is not an int$"):
+        run_division(c, layout, 5.0, 2)
